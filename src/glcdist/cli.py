@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .cosets import (
@@ -36,24 +35,17 @@ from .cosets import (
     parabolic_classes,
     verify_representative,
 )
-from .derivatives import MonomialRep, derivative_necessity_test, highest_derivative
+from .derivatives import MonomialRep, derivative_stages, necessity_verdict
 from .distinction import (
-    check_condition_i,
     has_exceptional_factor,
     is_distinguished_blocks,
     is_distinguished_generic,
     is_distinguished_unitary,
 )
-from .errors import PreconditionError, QuadratureError
-from .exactnum import GaussianRational
+from .errors import InputError, PreconditionError, QuadratureError
+from .exactnum import GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
-from .kernelnum import (
-    QuadratureConfig,
-    case1_displayed_form,
-    case2_displayed_form,
-    kernel_case1,
-    kernel_case2,
-)
+from .kernelnum import KERNEL_CASES, kernel_row
 from .ktypes import (
     NotDistinguishedError,
     distinguished_minimal_ktype,
@@ -61,7 +53,7 @@ from .ktypes import (
     lowest_ktype,
     minimal_distinguished_ktype_oracle,
 )
-from .params import LanglandsParameter, UnitaryRep, parse_parameter_file, to_langlands
+from .params import UnitaryRep, parse_parameter_file, to_langlands
 from .selftest import run_all
 
 EXIT_OK = 0
@@ -70,11 +62,15 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
 
 
-class ParseFailure(Exception):
-    pass
+def _decode(text: str, source: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, deep nesting
+        raise InputError(f"invalid JSON in {source}: {exc}") from exc
 
 
-def _load_input(args) -> dict:
+def _parse_input(args, parse, what: str):
+    """The --input file or --inline JSON, read by ``parse``."""
     if getattr(args, "inline", None):
         text = args.inline
         source = "<inline>"
@@ -82,15 +78,22 @@ def _load_input(args) -> dict:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ParseFailure(f"cannot read {args.input}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.input}: {exc}") from exc
         source = args.input
     else:
-        raise ParseFailure("one of --input PATH or --inline JSON is required")
+        raise InputError("one of --input PATH or --inline JSON is required")
+    obj = _decode(text, source)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"invalid JSON in {source} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        return parse(obj)
+    except InputError as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
+def _read_parameter(args):
+    """(the parameter file as given, its parameter) for classify, ktype, eps."""
+    data = _parse_input(args, parse_parameter_file, "parameter file")
+    return data, (to_langlands(data) if isinstance(data, UnitaryRep) else data)
 
 
 def _report(subcommand: str, inputs: dict, results: dict, criteria: list) -> dict:
@@ -115,26 +118,23 @@ def _emit(report: dict, args, text_lines) -> None:
 
 
 def _parse_twist(spec: str) -> GaussianRational:
-    try:
-        re_part, im_part = spec.split(",")
-        return GaussianRational(Fraction(re_part.strip()), Fraction(im_part.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseFailure(
-            f'--b expects "re,im" with rational parts, e.g. "0,1" for i: {exc}'
-        ) from exc
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise InputError(f'--b expects "re,im" with rational parts, e.g. "0,1" for i: got {spec!r}')
+    return GaussianRational(
+        read_rational(parts[0], "the real part of --b"),
+        read_rational(parts[1], "the imaginary part of --b"),
+    )
 
 
-def _as_parameter(data) -> LanglandsParameter:
-    return data if isinstance(data, LanglandsParameter) else to_langlands(data)
+def _parse_composition(spec: str) -> tuple:
+    """--comp read as the parts of a JSON array: "2,3" is [2, 3]."""
+    parts = _decode(f"[{spec}]", f"--comp (read as [{spec}])")
+    return tuple(read_int(part, "a --comp part") for part in parts)
 
 
 def cmd_classify(args) -> int:
-    obj = _load_input(args)
-    try:
-        data = parse_parameter_file(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad parameter file: {exc}") from exc
-    param = _as_parameter(data)
+    data, param = _read_parameter(args)
     inputs = {"mode": args.mode, "parameter": param.to_json()}
     if isinstance(data, UnitaryRep):
         inputs["blocks"] = data.to_json()
@@ -180,12 +180,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ktype(args) -> int:
-    obj = _load_input(args)
-    try:
-        data = parse_parameter_file(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad parameter file: {exc}") from exc
-    param = _as_parameter(data)
+    _, param = _read_parameter(args)
     inputs = {"parameter": param.to_json()}
     low = lowest_ktype(param)
     minimal = distinguished_minimal_ktype(param)
@@ -213,29 +208,20 @@ def cmd_ktype(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    obj = _load_input(args)
-    if obj.get("type") != "monomial":
-        raise ParseFailure('derive expects {"type": "monomial", "blocks": [...]}')
-    try:
-        mono = MonomialRep.parse(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad monomial file: {exc}") from exc
+    mono = _parse_input(args, MonomialRep.parse, "monomial file")
     if mono.is_empty():
-        raise ParseFailure("derive expects at least one block")
+        raise InputError("derive expects at least one block")
     inputs = {"monomial": mono.to_json()}
-    stages = []
-    current = mono
-    while not current.is_empty():
-        ok, _ = check_condition_i(current.parameter())
-        stages.append(
-            {
-                "blocks": [b.to_json() for b in current.blocks],
-                "total_size": current.total_size,
-                "condition_i": ok,
-            }
-        )
-        current = highest_derivative(current)
-    passes, failing = derivative_necessity_test(mono)
+    walk = list(derivative_stages(mono))
+    passes, failing = necessity_verdict(walk)
+    stages = [
+        {
+            "blocks": [b.to_json() for b in stage.blocks],
+            "total_size": stage.total_size,
+            "condition_i": ok,
+        }
+        for stage, ok in walk
+    ]
     results = {
         "depth": mono.depth,
         "stages": stages,
@@ -257,12 +243,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_eps(args) -> int:
-    obj = _load_input(args)
-    try:
-        data = parse_parameter_file(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad parameter file: {exc}") from exc
-    param = _as_parameter(data)
+    _, param = _read_parameter(args)
     psi = AdditiveCharacterSpec(_parse_twist(args.b))
     factor = eps_rep(param, psi)
     exact = factor.exact_value()
@@ -301,10 +282,10 @@ def cmd_cosets(args) -> int:
     criteria = ["involution-count-recurrence", "twisted-conjugation-check"]
     lines = [f"{len(involutions)} involutions on {args.n} letters, representatives verified: {verified}"]
     if args.comp:
-        parts = tuple(int(x) for x in args.comp.split(","))
+        parts = _parse_composition(args.comp)
         comp = Composition(parts)
         if comp.n != args.n:
-            raise ParseFailure(f"--comp {args.comp} does not sum to n = {args.n}")
+            raise InputError(f"--comp {args.comp} does not sum to n = {args.n}")
         classes = parabolic_classes(args.n, comp)
         dims = [orbit_dimension(cls[0], comp) for cls in classes]
         full = 2 * args.n * args.n
@@ -331,53 +312,25 @@ def _parse_samples(spec: str):
         try:
             out.append(complex(piece))
         except ValueError as exc:
-            raise ParseFailure(f"bad sample {piece!r}: {exc}") from exc
+            raise InputError(f"bad sample {piece!r}: {exc}") from exc
     if not out:
-        raise ParseFailure("--samples needs at least one complex number")
+        raise InputError("--samples needs at least one complex number")
     return out
-
-
-def _c2(z: complex) -> list:
-    return [z.real, z.imag]
 
 
 def cmd_verify_kernel(args) -> int:
     samples = _parse_samples(args.samples)
-    cfg = QuadratureConfig(
-        abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=600, radial_cutoff=1000.0
-    )
-    rows = []
-    lines = []
-    for s in samples:
-        for label, case, displayed in (
-            ("case1", kernel_case1, case1_displayed_form),
-            ("case2", kernel_case2, case2_displayed_form),
-        ):
-            numeric, reference = case(s, cfg)
-            rel = abs(numeric - reference) / abs(reference)
-            ratio = numeric / displayed(s, cfg)
-            expected = 2.0 ** (-(1.0 + s))
-            if label == "case2":
-                expected = expected / (s + 1.0)
-            rows.append(
-                {
-                    "s": _c2(s),
-                    "case": label,
-                    "numeric": _c2(numeric),
-                    "reference": _c2(reference),
-                    "rel_err": rel,
-                    "normalization_ratio": _c2(ratio),
-                    "expected_normalization_ratio": _c2(expected),
-                }
-            )
-            lines.append(
-                f"{label} s={s}: rel err {rel:.2e}, normalization ratio {ratio:.9g} (expected {expected:.9g})"
-            )
+    rows = [kernel_row(s, case) for s in samples for case in KERNEL_CASES]
+    lines = [
+        f"{row.case} s={row.s}: rel err {row.rel_err:.2e}, normalization ratio "
+        f"{row.normalization_ratio:.9g} (expected {row.expected_ratio:.9g})"
+        for row in rows
+    ]
     _emit(
         _report(
             "verify-kernel",
             {"samples": [str(s) for s in samples]},
-            {"table": rows},
+            {"table": [row.to_json() for row in rows]},
             ["beta-substitution-reference", "normalization-ratio"],
         ),
         args,
@@ -398,7 +351,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ParseFailure(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +414,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ParseFailure as exc:
+    except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotDistinguishedError as exc:

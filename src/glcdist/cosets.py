@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
+from .errors import PreconditionError
 from .exactnum import ExactMatrix, GQ_I, GQ_ONE, GQ_ZERO, real_rank
 
 _MAX_ENUM_N = 10
@@ -53,18 +54,11 @@ class Involution:
             (i + 1, self.perm[i]) for i in range(self.n) if self.perm[i] > i + 1
         )
 
-    def fixed_points(self) -> Tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.perm[i] == i + 1)
-
     def to_json(self) -> list:
         return list(self.perm)
 
     def __repr__(self):
         return f"Involution{self.perm}"
-
-    @classmethod
-    def identity(cls, n: int) -> "Involution":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_transpositions(cls, n: int, swaps: Iterable[Tuple[int, int]]) -> "Involution":
@@ -80,7 +74,7 @@ def enumerate_involutions(n: int) -> List[Involution]:
     The count obeys T(n) = T(n-1) + (n-1) T(n-2).
     """
     if not 1 <= n <= _MAX_ENUM_N:
-        raise ValueError(f"n must lie in 1..{_MAX_ENUM_N}")
+        raise PreconditionError(f"n must lie in 1..{_MAX_ENUM_N}, got {n}")
 
     def build(points: tuple) -> List[tuple]:
         if not points:
@@ -100,12 +94,7 @@ def enumerate_involutions(n: int) -> List[Involution]:
     return invs
 
 
-@dataclass(frozen=True)
-class CosetRep:
-    matrix: ExactMatrix
-
-
-def representative(w: Involution) -> CosetRep:
+def representative(w: Involution) -> ExactMatrix:
     """The explicit representative g_w: identity, with entries
     (k,k)=(l,l)=1 and (k,l)=(l,k)=sqrt(-1) for each transposition (k,l)."""
     n = w.n
@@ -115,13 +104,13 @@ def representative(w: Involution) -> CosetRep:
     for k, l in w.transpositions():
         entries[k - 1][l - 1] = GQ_I
         entries[l - 1][k - 1] = GQ_I
-    return CosetRep(ExactMatrix(entries))
+    return ExactMatrix(entries)
 
 
 def verify_representative(w: Involution) -> bool:
     """Check exactly that g_w conj(g_w)^{-1} lies in w T, i.e. equals the
     permutation matrix of w times an invertible diagonal matrix."""
-    g = representative(w).matrix
+    g = representative(w)
     m = g @ g.conj().inverse()
     n = w.n
     for j in range(1, n + 1):
@@ -146,7 +135,7 @@ class Composition:
         p = tuple(int(x) for x in self.parts)
         object.__setattr__(self, "parts", p)
         if not p or any(x < 1 for x in p):
-            raise ValueError("composition parts must be positive")
+            raise PreconditionError(f"composition parts must be positive, got {p}")
 
     @property
     def n(self) -> int:
@@ -193,9 +182,9 @@ def parabolic_classes(n: int, comp: Composition) -> List[List[Involution]]:
     lexicographically minimal member first.
     """
     if comp.n != n:
-        raise ValueError("composition must sum to n")
+        raise PreconditionError("composition must sum to n")
     if n > _MAX_CLASS_N:
-        raise ValueError(f"parabolic classes supported for n <= {_MAX_CLASS_N}")
+        raise PreconditionError(f"parabolic classes supported for n <= {_MAX_CLASS_N}")
     gens = comp.young_adjacent_transpositions()
     involutions = [w.perm for w in enumerate_involutions(n)]
     unassigned = set(involutions)
@@ -221,10 +210,6 @@ def parabolic_classes(n: int, comp: Composition) -> List[List[Involution]]:
     return classes
 
 
-def class_representatives(classes: List[List[Involution]]) -> List[Involution]:
-    return [cls[0] for cls in classes]
-
-
 def _parabolic_basis(n: int, comp: Composition) -> List[ExactMatrix]:
     """Real basis of the block-upper-triangular complex subalgebra."""
     block = comp.block_of()
@@ -246,9 +231,9 @@ def orbit_dimension(w: Involution, comp: Composition) -> int:
     """
     n = w.n
     if comp.n != n:
-        raise ValueError("composition must sum to n")
+        raise PreconditionError("composition must sum to n")
     vectors = _parabolic_basis(n, comp)
-    g = representative(w).matrix
+    g = representative(w)
     ginv = g.inverse()
     for i in range(n):
         for j in range(n):

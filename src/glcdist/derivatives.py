@@ -9,18 +9,19 @@ the character data unchanged.
 Iterating the highest derivative and testing the pairing condition at every
 stage gives a necessity test: a failed stage certifies non-distinction for
 unitary inputs whose stage-0 parameter satisfies the pairing condition.
-The converse direction is not asserted.
+The converse direction is not asserted.  ``derivative_stages`` is the one
+walk over the stages; the test and the ``derive`` report both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .distinction import check_condition_i
-from .exactnum import GaussianRational
-from .params import CharacterCx, LanglandsParameter
+from .errors import InputError
+from .exactnum import GaussianRational, read_int
+from .params import LanglandsParameter, expand_block, read_json
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,8 @@ class MonomialBlock:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.s, GaussianRational):
-            object.__setattr__(self, "s", GaussianRational.parse(self.s))
         if self.size < 1:
-            raise ValueError("block size must be positive")
+            raise InputError("block size must be positive")
 
     def to_json(self) -> dict:
         return {"k": self.k, "s": self.s.to_json(), "size": self.size}
@@ -45,9 +44,7 @@ class MonomialRep:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks=()):
-        self.blocks = tuple(
-            b if isinstance(b, MonomialBlock) else MonomialBlock(*b) for b in blocks
-        )
+        self.blocks = tuple(blocks)
 
     @property
     def depth(self) -> int:
@@ -74,22 +71,30 @@ class MonomialRep:
         kappa_{k, s+(n+1-2i)/2} for i = 1..n."""
         if self.is_empty():
             raise ValueError("the empty monomial has no parameter")
-        half = GaussianRational(Fraction(1, 2))
         chars = []
         for b in self.blocks:
-            for i in range(1, b.size + 1):
-                chars.append(CharacterCx(b.k, b.s + (b.size + 1 - 2 * i) * half))
+            chars.extend(expand_block(b.k, b.s, b.size))
         return LanglandsParameter(chars)
 
     def to_json(self) -> dict:
         return {"type": "monomial", "blocks": [b.to_json() for b in self.blocks]}
 
     @classmethod
-    def parse(cls, obj: dict) -> "MonomialRep":
-        return cls(
-            MonomialBlock(int(b["k"]), GaussianRational.parse(b["s"]), int(b["size"]))
-            for b in obj["blocks"]
-        )
+    def parse(cls, obj) -> "MonomialRep":
+        obj = read_json(obj, dict, "a monomial")
+        if obj.get("type") != "monomial":
+            raise InputError('expected {"type": "monomial", "blocks": [...]}')
+        blocks = []
+        for raw in read_json(obj.get("blocks"), list, '"blocks"'):
+            raw = read_json(raw, dict, "a block")
+            blocks.append(
+                MonomialBlock(
+                    read_int(raw.get("k"), '"k"'),
+                    GaussianRational.parse(raw.get("s")),
+                    read_int(raw.get("size"), '"size"'),
+                )
+            )
+        return cls(blocks)
 
 
 def highest_derivative(m: MonomialRep) -> MonomialRep:
@@ -99,6 +104,26 @@ def highest_derivative(m: MonomialRep) -> MonomialRep:
     return MonomialRep(
         MonomialBlock(b.k, b.s, b.size - 1) for b in m.blocks if b.size > 1
     )
+
+
+def derivative_stages(m: MonomialRep) -> Iterator[Tuple[MonomialRep, bool]]:
+    """Iterate highest derivatives from stage 0 until the monomial is empty,
+    yielding each stage with whether its parameter satisfies the pairing
+    condition.  Lazy, so a consumer may stop at the first failure."""
+    current = m
+    while not current.is_empty():
+        ok, _ = check_condition_i(current.parameter())
+        yield current, ok
+        current = highest_derivative(current)
+
+
+def necessity_verdict(stages: Iterable[Tuple[MonomialRep, bool]]) -> Tuple[bool, Optional[int]]:
+    """(True, None) when every stage satisfies the pairing condition, else
+    (False, first failing stage); reads no stage past the first failure."""
+    for index, (_, ok) in enumerate(stages):
+        if not ok:
+            return False, index
+    return True, None
 
 
 def derivative_necessity_test(
@@ -111,12 +136,4 @@ def derivative_necessity_test(
     certifies non-distinction for unitary inputs that satisfy the pairing
     condition at stage 0.
     """
-    current = m
-    stage = 0
-    while not current.is_empty():
-        ok, _ = check_condition_i(current.parameter())
-        if not ok:
-            return False, stage
-        current = highest_derivative(current)
-        stage += 1
-    return True, None
+    return necessity_verdict(derivative_stages(m))

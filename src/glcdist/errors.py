@@ -1,6 +1,10 @@
-"""Shared exception types, mapped to CLI exit codes (2 and 3)."""
+"""Shared exception types, mapped to CLI exit codes (1, 2 and 3)."""
 
 from __future__ import annotations
+
+
+class InputError(ValueError):
+    """Input from outside the program is malformed or not exact."""
 
 
 class PreconditionError(ValueError):

@@ -6,41 +6,60 @@ positive denominator, arbitrary precision), a Gaussian rational is a pair of
 Fractions, and an ExactMatrix is a dense grid of Gaussian rationals.  The one
 non-trivial operation is ``real_rank``, which treats complex n-by-n matrices
 as real 2n^2-dimensional vectors and computes the rank over Q by
-fraction-free (Bareiss) elimination on integers.
+fraction-free (Bareiss) elimination on integers.  Exact input from outside
+the program is read here too, by ``read_int`` and ``read_rational``.
 
 Everything is immutable after construction and every function is pure.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
+from .errors import InputError
 
 RationalLike = Union[int, Fraction, str]
 
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+
+def read_int(value, what: str = "value") -> int:
+    """The one reader of integers from outside the program.
+
+    Only an int that is not a bool (a JSON integer) is accepted; floats,
+    booleans, strings and anything else raise InputError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def read_rational(value, what: str = "value") -> Fraction:
+    """The one reader of rationals from outside the program.
+
+    Accepts an int that is not a bool, or the text "p" or "p/q" in decimal
+    digits (a sign only on p, surrounding spaces allowed) with q != 0.
+    Floats, booleans, zero denominators and anything else raise InputError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value.strip())
+        if match:
+            try:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # past int()'s digit limit, or q = 0
+    raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
 
 
 def rational_to_str(q: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     return str(q)
-
-
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return rational_from_str(value)
-    raise TypeError(f"not an exact rational: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +70,9 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        # Fractions first: every arithmetic result comes through here.
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else read_rational(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else read_rational(im))
 
     # -- field operations -------------------------------------------------
 
@@ -114,9 +134,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1
 
@@ -143,10 +160,11 @@ class GaussianRational:
     def parse(cls, obj) -> "GaussianRational":
         """Accept {"re": "p/q", "im": "p/q"}, a bare rational string, or an int."""
         if isinstance(obj, dict):
-            return cls(obj.get("re", "0"), obj.get("im", "0"))
-        if isinstance(obj, (int, str, Fraction)):
-            return cls(obj)
-        raise TypeError(f"cannot parse Gaussian rational from {obj!r}")
+            return cls(
+                read_rational(obj.get("re", "0"), '"re"'),
+                read_rational(obj.get("im", "0"), '"im"'),
+            )
+        return cls(read_rational(obj, "a Gaussian rational"))
 
 
 def _coerce(value) -> GaussianRational:
@@ -160,26 +178,6 @@ def _coerce(value) -> GaussianRational:
 GQ_ZERO = GaussianRational(0)
 GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
-
-
-def gq_add(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    return a + b
-
-
-def gq_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    return a * b
-
-
-def gq_neg(a: GaussianRational) -> GaussianRational:
-    return -a
-
-
-def gq_inv(a: GaussianRational) -> GaussianRational:
-    return a.inv()
-
-
-def gq_conj(a: GaussianRational) -> GaussianRational:
-    return a.conj()
 
 
 class ExactMatrix:
@@ -203,10 +201,6 @@ class ExactMatrix:
         return cls(
             [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[GQ_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value: GaussianRational = GQ_ONE) -> "ExactMatrix":

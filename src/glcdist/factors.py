@@ -27,7 +27,7 @@ import cmath
 
 from .errors import PreconditionError
 from .exactnum import GQ_I, GQ_ONE, GaussianRational
-from .params import CharacterCx, LanglandsParameter, char_product
+from .params import CharacterCx, LanglandsParameter
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,8 @@ class AdditiveCharacterSpec:
     b: GaussianRational
 
     def __post_init__(self):
-        if not isinstance(self.b, GaussianRational):
-            object.__setattr__(self, "b", GaussianRational.parse(self.b))
         if self.b.is_zero():
-            raise ValueError("the additive twist b must be nonzero")
+            raise PreconditionError("the additive twist b must be nonzero")
 
     @property
     def trivial_on_r(self) -> bool:
@@ -112,8 +110,6 @@ def eps_character(
 ) -> ExactEps:
     """Factor of one character kappa_{m,t} at the point s0 against psi_b:
     unit i^{|m|} b^m, modulus exponent 2t - m + s0 - 1/2."""
-    if not isinstance(s0, GaussianRational):
-        s0 = GaussianRational.parse(s0)
     m = c.m
     unit = (GQ_I ** abs(m)) * (psi.b ** m)
     exponent = c.s + c.s + (s0 - m - GaussianRational(Fraction(1, 2)))
@@ -155,5 +151,5 @@ def eps_pair(
     acc = ExactEps.one(psi)
     for a in p1.chars:
         for b in p2.chars:
-            acc = acc * eps_character(char_product(a, b), psi, half)
+            acc = acc * eps_character(a * b, psi, half)
     return acc

@@ -19,6 +19,8 @@ where the substitution forces a second-order one).  Reports expose the
 ratio numeric/displayed; the expected elementary values are 2^-(1+s) for
 case 1 and 2^-(1+s)/(s+1) for case 2.  The discrepancy is flagged, never
 silently corrected, and does not affect holomorphy or non-vanishing.
+``kernel_row`` computes one such report row in ``KERNEL_CONFIG``; the
+``verify-kernel`` command and the self-test's kernel criterion both use it.
 
 Determinism: intervals are split worst-error-first with ties broken by the
 left endpoint, and the final reduction sums contributions in left-endpoint
@@ -131,6 +133,11 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+# The configuration of verify-kernel rows (and so of the kernel criterion).
+KERNEL_CONFIG = QuadratureConfig(
+    abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=600, radial_cutoff=1000.0
+)
 
 
 def _kronrod_panel(f: Callable, a: float, b: float) -> Tuple[complex, float]:
@@ -264,24 +271,6 @@ CASE1_STRIP = (-1.0 / 3.0, 1.0)
 CASE2_STRIP = (-2.0 / 3.0, 2.0)
 
 
-@dataclass(frozen=True)
-class StripDomain:
-    """Where a sample sits relative to the two radial convergence strips."""
-
-    s: complex
-    case1_valid: bool
-    case2_valid: bool
-
-    @classmethod
-    def classify(cls, s: complex) -> "StripDomain":
-        s = complex(s)
-        return cls(
-            s,
-            CASE1_STRIP[0] < s.real < CASE1_STRIP[1],
-            CASE2_STRIP[0] < s.real < CASE2_STRIP[1],
-        )
-
-
 def _check_strip(s: complex, low: float, high: float, label: str) -> complex:
     s = complex(s)
     if not (low < s.real < high):
@@ -393,9 +382,62 @@ def case2_displayed_form(
     )
 
 
+def _pair(z: complex) -> list:
+    return [z.real, z.imag]
+
+
+class KernelRow(NamedTuple):
+    """One kernel case at one sample s, as verify-kernel reports it."""
+
+    s: complex
+    case: str
+    numeric: complex
+    reference: complex
+    rel_err: float
+    normalization_ratio: complex
+    expected_ratio: complex
+
+    def to_json(self) -> dict:
+        return {
+            "s": _pair(self.s),
+            "case": self.case,
+            "numeric": _pair(self.numeric),
+            "reference": _pair(self.reference),
+            "rel_err": self.rel_err,
+            "normalization_ratio": _pair(self.normalization_ratio),
+            "expected_normalization_ratio": _pair(self.expected_ratio),
+        }
+
+
+# The kernel cases by name, each with its displayed closed form.
+KERNEL_CASES = {
+    "case1": (kernel_case1, case1_displayed_form),
+    "case2": (kernel_case2, case2_displayed_form),
+}
+
+
+def kernel_row(s: complex, case: str) -> KernelRow:
+    """Case "case1" or "case2" at s in KERNEL_CONFIG: the numeric integral,
+    the Beta-substitution reference and their relative error, and the ratio
+    numeric/displayed with its expected value 2^-(1+s), divided by (s+1) in
+    case 2."""
+    kernel, displayed = KERNEL_CASES[case]
+    numeric, reference = kernel(s, KERNEL_CONFIG)
+    expected = 2.0 ** (-(1.0 + s))
+    if case == "case2":
+        expected = expected / (s + 1.0)
+    return KernelRow(
+        s,
+        case,
+        numeric,
+        reference,
+        abs(numeric - reference) / abs(reference),
+        numeric / displayed(s, KERNEL_CONFIG),
+        expected,
+    )
+
+
 def irreducibility_guard(s: GaussianRational) -> bool:
     """True iff s avoids the reducibility set: the nonzero rational
     integers."""
-    if not isinstance(s, GaussianRational):
-        s = GaussianRational.parse(s)
     return not (s.is_integer() and not s.is_zero())

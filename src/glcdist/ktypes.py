@@ -19,7 +19,8 @@ weight, a weakly decreasing integer n-tuple.  This module provides:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
+from math import isqrt
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from .errors import PreconditionError
@@ -220,32 +221,43 @@ def _prefix_sums(vec: Sequence[int]):
 
 def _even_dominant_weights(n: int, radius: int, total: int):
     """Dominant weights with all entries even, Euclidean norm <= radius and
-    prescribed entry sum (other sums carry multiplicity zero)."""
-    r_sq = radius * radius
-    top = radius - (radius % 2)
+    prescribed entry sum (other sums carry multiplicity zero), in decreasing
+    lexicographic order.
 
-    def rec(prefix: list, norm_used: int, sum_used: int):
-        if len(prefix) == n:
-            if sum_used == total:
-                yield HighestWeight(prefix)
+    Each entry v runs only over values the later entries can complete: with
+    r entries left to sum to ``rest - v``, each at most v, v >= rest/(r+1);
+    and as their squares sum to at least (rest-v)^2/r, v^2 + (rest-v)^2/r
+    must fit in the norm left.  So a huge radius costs nothing until
+    weights are actually produced.
+    """
+
+    def rec(prefix: list, room: int, rest: int):
+        r = n - len(prefix) - 1
+        hi = prefix[-1] if prefix else radius
+        if r == 0:
+            if rest <= hi and rest % 2 == 0 and rest * rest <= room:
+                yield HighestWeight(prefix + [rest])
             return
-        hi = prefix[-1] if prefix else top
-        remaining = n - len(prefix) - 1
-        for v in range(hi, -radius - 1, -2):
-            nrm = norm_used + v * v
-            if nrm > r_sq:
-                if v <= 0:
-                    break  # |v| only grows from here
-                continue
-            # Later entries lie in [-radius, v]: sum ceiling decreases with
-            # v (break), the floor decreases with v as well (keep scanning).
-            if sum_used + v + remaining * v < total:
-                break
-            if sum_used + v - remaining * radius > total:
-                continue
-            yield from rec(prefix + [v], nrm, sum_used + v)
+        # (r+1) v^2 - 2 rest v + rest^2 - r room <= 0
+        disc = r * ((r + 1) * room - rest * rest)
+        if disc < 0:
+            return
+        v = min(hi, (rest + isqrt(disc)) // (r + 1))
+        v -= v % 2
+        low = -(-rest // (r + 1))
+        while v >= low:
+            yield from rec(prefix + [v], room - v * v, rest - v)
+            v -= 2
 
-    yield from rec([], 0, 0)
+    if total % 2 == 0:  # even entries never sum to an odd total
+        yield from rec([], radius * radius, total)
+
+
+# Caps on the oracle's work: each candidate costs a Weyl sum of n! terms, and
+# the candidates grow fast with the radius (n = 6: 49 at radius 10, 99,650 at
+# radius 60).  Criterion 5 (n <= 3, radius 8) stays well inside both.
+ORACLE_MAX_RANK = 6
+ORACLE_MAX_CANDIDATES = 64
 
 
 def minimal_distinguished_ktype_oracle(
@@ -259,15 +271,28 @@ def minimal_distinguished_ktype_oracle(
     mu of Euclidean norm at most ``radius`` with positive weight
     multiplicity at the exponent vector, the subset of minimal norm is
     returned (all minimizers, so a non-unique minimum is surfaced).
+
+    Preconditions: n <= ORACLE_MAX_RANK, and at most ORACLE_MAX_CANDIDATES
+    candidate weights within the radius; PreconditionError otherwise.
     """
     nu = tuple(sorted((c.m for c in p.chars), reverse=True))
+    if len(nu) > ORACLE_MAX_RANK:
+        raise PreconditionError(f"the K-type oracle supports n <= {ORACLE_MAX_RANK}, got n = {len(nu)}")
     if radius < max((abs(v) for v in nu), default=0):
         raise PreconditionError(
             "search radius must be at least the largest twist exponent"
         )
+    candidates = list(
+        islice(_even_dominant_weights(len(nu), radius, sum(nu)), ORACLE_MAX_CANDIDATES + 1)
+    )
+    if len(candidates) > ORACLE_MAX_CANDIDATES:
+        raise PreconditionError(
+            f"more than {ORACLE_MAX_CANDIDATES} candidate K-types within radius "
+            f"{radius}; the oracle supports at most {ORACLE_MAX_CANDIDATES}"
+        )
     best: Set[HighestWeight] = set()
     best_norm = None
-    for mu in _even_dominant_weights(len(nu), radius, sum(nu)):
+    for mu in candidates:
         if weight_multiplicity(mu, nu) <= 0:
             continue
         nrm = mu.norm_sq()

@@ -18,17 +18,28 @@ Conventions, fixed once for the whole package:
 ``to_langlands`` expands blocks into characters: a character block of size
 n contributes kappa_{k,(u+n+1-2i)/2} for i = 1..n, and a complementary
 series block splits into the two constituent character blocks with outer
-twists u+t and u-t before expanding.
+twists u+t and u-t before expanding.  ``expand_block`` is that one rule,
+for monomial blocks (see derivatives) too.  The ``parse`` methods raise
+InputError on malformed JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .exactnum import GaussianRational, Rational, rational_to_str
+from .errors import InputError
+from .exactnum import GaussianRational, rational_to_str, read_int, read_rational
+
+
+def read_json(value, kind: type, what: str):
+    """``value`` if it is a JSON object (dict) or array (list), else InputError."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise InputError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,8 +52,6 @@ class CharacterCx:
     def __post_init__(self):
         if not isinstance(self.m, int):
             raise TypeError("twist exponent m must be an integer")
-        if not isinstance(self.s, GaussianRational):
-            object.__setattr__(self, "s", GaussianRational.parse(self.s))
         # Cache hash and normal-form sort key; classification scans hash and
         # compare characters heavily.
         object.__setattr__(self, "_hash", hash((self.m, self.s.re, self.s.im)))
@@ -78,23 +87,12 @@ class CharacterCx:
         return {"m": self.m, "s": self.s.to_json()}
 
     @classmethod
-    def parse(cls, obj: dict) -> "CharacterCx":
-        return cls(int(obj["m"]), GaussianRational.parse(obj["s"]))
+    def parse(cls, obj) -> "CharacterCx":
+        obj = read_json(obj, dict, "a character")
+        return cls(read_int(obj.get("m"), '"m"'), GaussianRational.parse(obj.get("s")))
 
     def __str__(self):
         return f"k[{self.m},{self.s}]"
-
-
-def conj_inverse(c: CharacterCx) -> CharacterCx:
-    return c.conj_inverse()
-
-
-def value_at_minus_one(c: CharacterCx) -> int:
-    return c.value_at_minus_one()
-
-
-def char_product(a: CharacterCx, b: CharacterCx) -> CharacterCx:
-    return a * b
 
 
 class LanglandsParameter:
@@ -105,7 +103,7 @@ class LanglandsParameter:
     def __init__(self, chars: Iterable[CharacterCx]):
         self.chars = tuple(sorted(chars, key=CharacterCx.sort_key))
         if not self.chars:
-            raise ValueError("a parameter needs at least one character")
+            raise InputError("a parameter needs at least one character")
 
     @property
     def n(self) -> int:
@@ -143,13 +141,10 @@ class LanglandsParameter:
         }
 
     @classmethod
-    def parse(cls, obj: dict) -> "LanglandsParameter":
-        return cls(CharacterCx.parse(c) for c in obj["characters"])
-
-
-def param_equivalent(a: LanglandsParameter, b: LanglandsParameter) -> bool:
-    """True iff the two character multisets coincide."""
-    return a == b
+    def parse(cls, obj) -> "LanglandsParameter":
+        obj = read_json(obj, dict, "a parameter")
+        characters = read_json(obj.get("characters"), list, '"characters"')
+        return cls(CharacterCx.parse(c) for c in characters)
 
 
 # -- unitary building blocks ----------------------------------------------
@@ -165,11 +160,9 @@ class CharBlock:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("block size must be positive")
-        if not isinstance(self.u, GaussianRational):
-            object.__setattr__(self, "u", GaussianRational.parse(self.u))
+            raise InputError("block size must be positive")
         if self.u.re != 0:
-            raise ValueError("character block twist u must be purely imaginary")
+            raise InputError("character block twist u must be purely imaginary")
 
     @property
     def size(self) -> int:
@@ -190,15 +183,11 @@ class CompSeriesBlock:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("block size must be positive")
-        if not isinstance(self.u, GaussianRational):
-            object.__setattr__(self, "u", GaussianRational.parse(self.u))
+            raise InputError("block size must be positive")
         if self.u.re != 0:
-            raise ValueError("complementary twist u must be purely imaginary")
-        t = self.t if isinstance(self.t, Fraction) else Fraction(self.t)
-        object.__setattr__(self, "t", t)
-        if not (0 < t < 1):
-            raise ValueError("complementary parameter requires 0 < t < 1 strictly")
+            raise InputError("complementary twist u must be purely imaginary")
+        if not (0 < self.t < 1):
+            raise InputError("complementary parameter requires 0 < t < 1 strictly")
 
     @property
     def size(self) -> int:
@@ -231,7 +220,7 @@ class UnitaryRep:
     def __init__(self, blocks: Iterable[UnitaryBlock]):
         self.blocks = tuple(sorted(blocks, key=_block_sort_key))
         if not self.blocks:
-            raise ValueError("a unitary representation needs at least one block")
+            raise InputError("a unitary representation needs at least one block")
 
     @property
     def n(self) -> int:
@@ -253,37 +242,44 @@ class UnitaryRep:
         return {"type": "unitary", "blocks": [b.to_json() for b in self.blocks]}
 
     @classmethod
-    def parse(cls, obj: dict) -> "UnitaryRep":
+    def parse(cls, obj) -> "UnitaryRep":
+        obj = read_json(obj, dict, "a unitary representation")
         blocks = []
-        for raw in obj["blocks"]:
+        for raw in read_json(obj.get("blocks"), list, '"blocks"'):
+            raw = read_json(raw, dict, "a block")
             kind = raw.get("kind")
             if kind == "char":
                 blocks.append(
-                    CharBlock(int(raw["n"]), int(raw["k"]), GaussianRational.parse(raw["u"]))
+                    CharBlock(
+                        read_int(raw.get("n"), '"n"'),
+                        read_int(raw.get("k"), '"k"'),
+                        GaussianRational.parse(raw.get("u")),
+                    )
                 )
             elif kind == "comp":
                 blocks.append(
                     CompSeriesBlock(
-                        int(raw["m"]),
-                        int(raw["k"]),
-                        GaussianRational.parse(raw["u"]),
-                        Fraction(raw["t"]),
+                        read_int(raw.get("m"), '"m"'),
+                        read_int(raw.get("k"), '"k"'),
+                        GaussianRational.parse(raw.get("u")),
+                        read_rational(raw.get("t"), '"t"'),
                     )
                 )
             else:
-                raise ValueError(f"unknown block kind: {kind!r}")
+                raise InputError(f"unknown block kind: {kind!r}")
         return cls(blocks)
 
 
-def _char_block_chars(n: int, k: int, u: GaussianRational) -> tuple:
-    """Characters of the size-n block (det/|det|)^k |det|^u.
+_HALF = GaussianRational(Fraction(1, 2))
 
-    The i-th slot carries |z|^(u+n+1-2i), i.e. kappa-slot (u+n+1-2i)/2.
-    """
-    half = Fraction(1, 2)
+
+def expand_block(k: int, center: GaussianRational, size: int) -> tuple:
+    """The characters kappa_{k, center+(size+1-2i)/2}, i = 1..size: a run of
+    ``size`` slots spaced by 1 around ``center``, all with twist exponent k.
+    The size-n block (det/|det|)^k |det|^u is the run around u/2."""
     return tuple(
-        CharacterCx(k, (u + (n + 1 - 2 * i)) * GaussianRational(half))
-        for i in range(1, n + 1)
+        CharacterCx(k, center + GaussianRational(Fraction(size + 1 - 2 * i, 2)))
+        for i in range(1, size + 1)
     )
 
 
@@ -291,13 +287,11 @@ def _char_block_chars(n: int, k: int, u: GaussianRational) -> tuple:
 def block_characters(block: UnitaryBlock) -> tuple:
     """The character multiset contributed by one block, as a sorted tuple."""
     if isinstance(block, CharBlock):
-        chars = _char_block_chars(block.n, block.k, block.u)
+        chars = expand_block(block.k, block.u * _HALF, block.n)
     else:
-        up = block.u + GaussianRational(block.t)
-        down = block.u - GaussianRational(block.t)
-        chars = _char_block_chars(block.m, block.k, up) + _char_block_chars(
-            block.m, block.k, down
-        )
+        up = (block.u + block.t) * _HALF
+        down = (block.u - block.t) * _HALF
+        chars = expand_block(block.k, up, block.m) + expand_block(block.k, down, block.m)
     return tuple(sorted(chars, key=CharacterCx.sort_key))
 
 
@@ -309,11 +303,11 @@ def to_langlands(rep: UnitaryRep) -> LanglandsParameter:
     return LanglandsParameter(chars)
 
 
-def parse_parameter_file(obj: dict):
+def parse_parameter_file(obj):
     """Dispatch a parameter JSON object on its "type" field."""
-    kind = obj.get("type")
+    kind = read_json(obj, dict, "a parameter file").get("type")
     if kind == "langlands":
         return LanglandsParameter.parse(obj)
     if kind == "unitary":
         return UnitaryRep.parse(obj)
-    raise ValueError(f'unknown parameter type: {kind!r} (expected "langlands" or "unitary")')
+    raise InputError(f'unknown parameter type: {kind!r} (expected "langlands" or "unitary")')

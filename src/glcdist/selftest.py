@@ -37,14 +37,8 @@ from .equivalence_scan import (
 )
 from .exactnum import GQ_ONE, GaussianRational
 from .factors import AdditiveCharacterSpec, eps_pair, eps_rep
-from .kernelnum import (
-    QuadratureConfig,
-    beta_P,
-    case1_displayed_form,
-    complex_gamma,
-    kernel_case1,
-    kernel_case2,
-)
+from .kernelnum import KERNEL_CONFIG  # noqa: F401  re-exported for perfbench/kernel_verify.py
+from .kernelnum import KERNEL_CASES, beta_P, complex_gamma, kernel_row
 from .ktypes import (
     distinguished_minimal_ktype,
     lowest_ktype,
@@ -58,11 +52,6 @@ from .params import (
     UnitaryRep,
     to_langlands,
 )
-
-KERNEL_CONFIG = QuadratureConfig(
-    abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=600, radial_cutoff=1000.0
-)
-
 
 @dataclass
 class CriterionResult:
@@ -339,20 +328,18 @@ KERNEL_SAMPLES = (0.0 + 0.0j, 0.2 + 0.0j, 0.4 + 0.0j, 0.2 + 0.3j)
 
 def criterion_8_kernel_oracle() -> Tuple[bool, str]:
     """Nested quadrature vs the Beta-substitution reference, plus the
-    case-1 normalization ratio."""
+    case-1 normalization ratio, on the rows verify-kernel reports."""
     worst = 0.0
     for s in KERNEL_SAMPLES:
-        for case in (kernel_case1, kernel_case2):
-            numeric, reference = case(s, KERNEL_CONFIG)
-            rel = abs(numeric - reference) / abs(reference)
-            worst = max(worst, rel)
-            if rel > 1e-6:
-                return False, f"{case.__name__} at s={s}: rel err {rel:.2e}"
-        numeric, _ = kernel_case1(s, KERNEL_CONFIG)
-        ratio = numeric / case1_displayed_form(s, KERNEL_CONFIG)
-        expected = 2.0 ** (-(1.0 + s))
-        if abs(ratio - expected) > 1e-6:
-            return False, f"case 1 ratio at s={s}: {ratio} vs {expected}"
+        for case in KERNEL_CASES:
+            row = kernel_row(s, case)
+            worst = max(worst, row.rel_err)
+            if row.rel_err > 1e-6:
+                return False, f"kernel_{case} at s={s}: rel err {row.rel_err:.2e}"
+            if case == "case1" and abs(row.normalization_ratio - row.expected_ratio) > 1e-6:
+                return False, (
+                    f"case 1 ratio at s={s}: {row.normalization_ratio} vs {row.expected_ratio}"
+                )
     return True, f"4 samples, both cases, worst relative error {worst:.1e}"
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 from importlib import resources
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from glcdist.cli import main
+from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
+from glcdist.kernelnum import KERNEL_CASES, kernel_row
 
 
 def fixture_path(name: str) -> str:
@@ -88,6 +95,18 @@ class TestKtype:
 
 
 class TestDerive:
+    def test_stages_are_the_stage_walk(self, capsys):
+        path = fixture_path("sign_cube_monomial_g6.json")
+        code, report = run_json(capsys, "derive", "--input", path)
+        assert code == 0
+        with open(path, encoding="utf-8") as handle:
+            mono = MonomialRep.parse(json.load(handle))
+        walk = [([b.to_json() for b in m.blocks], m.total_size, ok) for m, ok in derivative_stages(mono)]
+        stages = report["results"]["stages"]
+        assert [(st["blocks"], st["total_size"], st["condition_i"]) for st in stages] == walk
+        results = report["results"]
+        assert (results["passes"], results["failing_stage"]) == derivative_necessity_test(mono)
+
     def test_sign_cube_monomial(self, capsys):
         code, report = run_json(
             capsys, "derive", "--input", fixture_path("sign_cube_monomial_g6.json")
@@ -151,6 +170,12 @@ class TestVerifyKernel:
             want = complex(*row["expected_normalization_ratio"])
             assert abs(got - want) < 1e-6
 
+    def test_rows_are_the_kernel_rows(self, capsys):
+        code, report = run_json(capsys, "verify-kernel", "--samples", "0.2")
+        assert code == 0
+        rows = [kernel_row(0.2 + 0j, case).to_json() for case in KERNEL_CASES]
+        assert report["results"]["table"] == rows
+
     def test_strip_violation_exit_code(self, capsys):
         code = main(["verify-kernel", "--samples", "5"])
         capsys.readouterr()
@@ -199,3 +224,87 @@ class TestParsing:
         )
         assert code == 0
         assert json.loads(target.read_text())["subcommand"] == "classify"
+
+
+def langlands(m="1", s='{"re":"0","im":"0"}'):
+    return '{"type":"langlands","characters":[{"m":%s,"s":%s}]}' % (m, s)
+
+
+def char_block(n):
+    return '{"type":"unitary","blocks":[{"kind":"char","n":%s,"k":1,"u":"0"}]}' % n
+
+
+BAD_INPUTS = [
+    (["classify", "--inline", langlands(m="1.5")], 1),
+    (["classify", "--inline", langlands(m="true")], 1),
+    (["classify", "--inline", langlands(m='"1"')], 1),
+    (["classify", "--inline", char_block("true")], 1),
+    (["derive", "--inline", '{"type":"monomial","blocks":[{"k":1,"s":"0","size":2.7}]}'], 1),
+    (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"comp","m":1,"k":0,"u":"0","t":0.1}]}'], 1),
+    (["classify", "--inline", langlands(s='{"re":"1/0","im":"0"}')], 1),
+    (["classify", "--inline", "[]"], 1),
+    (["derive", "--inline", "[]"], 1),
+    (["cosets", "--n", "0"], 2),
+    (["cosets", "--n", "11"], 2),
+    (["cosets", "--n", "4", "--comp", "0,4"], 2),
+    (["cosets", "--n", "4", "--comp", "2,x"], 1),
+    (["cosets", "--n", "4", "--comp", "2.0,2"], 1),
+    (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
+    (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS, ids=[" ".join(a)[:60] for a, _ in BAD_INPUTS])
+def test_bad_input_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# Documents shaped like the input files, so that the readers see bad leaves.
+# Integers stay small: a block or exponent of size 10**9 is exact work of
+# that size, which no reader rejects.
+leaves = (
+    st.integers(-3, 3) | st.booleans() | st.floats() | st.none()
+    | st.sampled_from(["0", "1/2", "-1/3", "1/0", "0.5", " 2 "]) | st.text(max_size=4)
+)
+slots = leaves | st.fixed_dictionaries({"re": leaves, "im": leaves})
+entries = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["char", "comp", "other"]), "m": leaves, "n": leaves, "k": leaves,
+     "s": slots, "u": slots, "t": leaves, "size": leaves}
+)
+documents = json_values | st.fixed_dictionaries(
+    {"type": st.sampled_from(["langlands", "unitary", "monomial", "other"]),
+     "characters": st.lists(entries, max_size=3) | leaves,
+     "blocks": st.lists(entries, max_size=3) | leaves}
+)
+texts = st.text(max_size=8) | st.from_regex(r"-?[0-9]{1,2}(/-?[0-9])?(,-?[0-9](\.[0-9])?)?", fullmatch=True)
+requests = st.one_of(
+    st.tuples(st.sampled_from(["classify", "derive"]), documents).map(
+        lambda t: [t[0], "--inline", json.dumps(t[1])]),
+    st.tuples(documents, st.sampled_from(["generic", "unitary"])).map(
+        lambda t: ["classify", "--inline", json.dumps(t[0]), "--mode", t[1]]),
+    st.tuples(documents, st.none() | st.integers(-1, 8)).map(
+        lambda t: ["ktype", "--inline", json.dumps(t[0])] + ([] if t[1] is None else ["--radius", str(t[1])])),
+    st.tuples(documents, texts).map(lambda t: ["eps", "--inline", json.dumps(t[0]), f"--b={t[1]}"]),
+    texts.map(lambda b: ["eps", "--inline", langlands(m="2"), f"--b={b}"]),
+    # n <= 5 keeps every cosets call well under a second.
+    st.tuples(st.text(max_size=3) | st.integers(-1, 5).map(str), st.none() | texts).map(
+        lambda t: ["cosets", f"--n={t[0]}"] + ([] if t[1] is None else [f"--comp={t[1]}"])),
+)
+
+
+@settings(max_examples=300)
+@given(requests)
+def test_main_never_raises(argv):
+    assert main_quietly(argv) in (0, 1, 2, 3)

@@ -3,7 +3,6 @@ import pytest
 from glcdist.cosets import (
     Composition,
     Involution,
-    class_representatives,
     enumerate_involutions,
     is_open_orbit,
     orbit_dimension,
@@ -11,6 +10,7 @@ from glcdist.cosets import (
     representative,
     verify_representative,
 )
+from glcdist.errors import PreconditionError
 from glcdist.exactnum import ExactMatrix, GQ_I, GQ_ONE, GQ_ZERO
 
 
@@ -32,9 +32,9 @@ class TestEnumeration:
         ]
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             enumerate_involutions(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             enumerate_involutions(11)
 
     def test_non_involution_rejected(self):
@@ -44,14 +44,14 @@ class TestEnumeration:
 
 class TestRepresentatives:
     def test_identity(self):
-        assert representative(Involution((1, 2, 3))).matrix == ExactMatrix.identity(3)
+        assert representative(Involution((1, 2, 3))) == ExactMatrix.identity(3)
 
     def test_transposition_block(self):
-        m = representative(Involution((2, 1))).matrix
+        m = representative(Involution((2, 1)))
         assert m == ExactMatrix([[GQ_ONE, GQ_I], [GQ_I, GQ_ONE]])
 
     def test_disjoint_product(self):
-        m = representative(Involution((2, 1, 4, 3))).matrix
+        m = representative(Involution((2, 1, 4, 3)))
         block = [[GQ_ONE, GQ_I], [GQ_I, GQ_ONE]]
         expected = [
             [block[0][0], block[0][1], GQ_ZERO, GQ_ZERO],
@@ -62,7 +62,7 @@ class TestRepresentatives:
         assert m == ExactMatrix(expected)
 
     def test_twisted_conjugation_lands_in_torus_translate(self):
-        g = representative(Involution((2, 1))).matrix
+        g = representative(Involution((2, 1)))
         m = g @ g.conj().inverse()
         assert m == ExactMatrix([[GQ_ZERO, GQ_I], [GQ_I, GQ_ZERO]])
 
@@ -88,7 +88,7 @@ class TestParabolicClasses:
     def test_half_half(self):
         classes = parabolic_classes(4, Composition((2, 2)))
         assert len(classes) == 3
-        reps = [w.perm for w in class_representatives(classes)]
+        reps = [cls[0].perm for cls in classes]
         assert reps == [(1, 2, 3, 4), (1, 3, 2, 4), (3, 4, 1, 2)]
 
     def test_half_half_counts(self):
@@ -97,8 +97,12 @@ class TestParabolicClasses:
             assert len(classes) == half + 1
 
     def test_composition_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             parabolic_classes(4, Composition((2, 1)))
+        with pytest.raises(PreconditionError):
+            parabolic_classes(9, Composition((9,)))
+        with pytest.raises(PreconditionError):
+            Composition((2, 0))
 
 
 class TestOrbitDimensions:

@@ -5,7 +5,9 @@ from glcdist.derivatives import (
     MonomialBlock,
     MonomialRep,
     derivative_necessity_test,
+    derivative_stages,
     highest_derivative,
+    necessity_verdict,
 )
 from glcdist.distinction import check_condition_i, check_condition_ii
 from glcdist.exactnum import GaussianRational
@@ -67,6 +69,14 @@ class TestNecessity:
 
     def test_trivial_character_passes(self):
         assert derivative_necessity_test(mono((0, 0, 5))) == (True, None)
+
+    def test_stage_walk(self):
+        m = mono((1, 0, 2), (1, 0, 2), (1, 0, 2))
+        stages = list(derivative_stages(m))
+        assert stages == [(m, True), (highest_derivative(m), False)]
+        assert necessity_verdict(stages) == (False, 1)
+        # The verdict stops at the first failing stage.
+        assert necessity_verdict(iter([(m, False), None])) == (False, 0)
 
     def test_stage_zero_failure(self):
         # A lone odd twist on size 1 already violates the pairing condition.

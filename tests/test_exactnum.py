@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from glcdist.errors import InputError
 from glcdist.exactnum import (
     ExactMatrix,
     GQ_I,
     GQ_ONE,
     GaussianRational,
-    rational_from_str,
     rational_to_str,
+    read_int,
+    read_rational,
     real_rank,
 )
 
@@ -62,11 +64,43 @@ class TestSerialization:
     def test_rational_strings(self):
         assert rational_to_str(Fraction(3, 4)) == "3/4"
         assert rational_to_str(Fraction(5)) == "5"
-        assert rational_from_str("-7/2") == Fraction(-7, 2)
+        assert read_rational("-7/2") == Fraction(-7, 2)
 
     @given(gaussians)
     def test_json_round_trip(self, a):
         assert GaussianRational.parse(a.to_json()) == a
+
+
+class TestReaders:
+    def test_integers(self):
+        assert read_int(3) == 3
+        assert read_int(-10**30) == -10**30
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1", None, [1], {"m": 1}])
+    def test_integer_rejects(self, value):
+        with pytest.raises(InputError):
+            read_int(value)
+
+    def test_rationals(self):
+        assert read_rational("3") == 3
+        assert read_rational(" -3/12 ") == Fraction(-1, 4)
+        assert read_rational(-2) == -2
+        assert GaussianRational("1/2", -1) == GaussianRational(Fraction(1, 2), Fraction(-1))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1/0", "0/0", "1.5", "1e3", "1/-2", "+", "", "x", "1/2/3", "1" * 5000, 0.1, True, None, [1]],
+    )
+    def test_rational_rejects(self, value):
+        with pytest.raises(InputError):
+            read_rational(value)
+        with pytest.raises(InputError):
+            GaussianRational.parse({"re": value, "im": "0"})
+
+    def test_gaussian_parse_rejects_non_objects(self):
+        for value in (None, 0.5, [0, 1], False):
+            with pytest.raises(InputError):
+                GaussianRational.parse(value)
 
 
 def unit(n, i, j, value=GQ_ONE):

@@ -8,6 +8,9 @@ import pytest
 from glcdist.errors import PreconditionError, QuadratureError
 from glcdist.exactnum import GaussianRational
 from glcdist.kernelnum import (
+    CASE1_STRIP,
+    CASE2_STRIP,
+    KERNEL_CONFIG,
     QuadratureConfig,
     adaptive_quad,
     angular_moment,
@@ -20,7 +23,7 @@ from glcdist.kernelnum import (
     kernel_case2,
 )
 
-FAST = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=600, radial_cutoff=1000.0)
+FAST = KERNEL_CONFIG
 
 
 class TestGamma:
@@ -171,11 +174,13 @@ class TestIrreducibilityGuard:
 
 class TestStripDomain:
     def test_classification(self):
-        from glcdist.kernelnum import StripDomain
-
-        both = StripDomain.classify(0.2 + 0.3j)
-        assert both.case1_valid and both.case2_valid
-        only_two = StripDomain.classify(1.5)
-        assert not only_two.case1_valid and only_two.case2_valid
-        neither = StripDomain.classify(-0.9)
-        assert not neither.case1_valid and not neither.case2_valid
+        # The radial convergence strips, as the kernel cases enforce them:
+        # 0.2+0.3i lies in both, 1.5 only in case 2's, -0.9 in neither.
+        for s in (0.2 + 0.3j, 1.5, -0.9):
+            assert (CASE1_STRIP[0] < s.real < CASE1_STRIP[1]) == (s == 0.2 + 0.3j)
+            assert (CASE2_STRIP[0] < s.real < CASE2_STRIP[1]) == (s != -0.9)
+        for s in (1.5, -0.9):
+            with pytest.raises(PreconditionError):
+                kernel_case1(s, FAST)
+        with pytest.raises(PreconditionError):
+            kernel_case2(-0.9, FAST)

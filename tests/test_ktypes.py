@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
 from glcdist.ktypes import (
+    ORACLE_MAX_CANDIDATES,
+    ORACLE_MAX_RANK,
     HighestWeight,
     NotDistinguishedError,
     RadiusExhaustedError,
@@ -180,6 +183,19 @@ class TestOracle:
         # Odd total twist sum admits no even weight at all.
         with pytest.raises(RadiusExhaustedError):
             minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), 6)
+        with pytest.raises(RadiusExhaustedError):
+            minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), 10**9)
+
+    def test_work_caps(self):
+        # Both caps are checked before any Weyl sum, and a huge radius costs
+        # no more than a small one.
+        six = param(*(kappa(m) for m in (1, 1, 2, 0, 0, -2)))
+        for radius in (60, 10**9):
+            with pytest.raises(PreconditionError, match=f"at most {ORACLE_MAX_CANDIDATES}"):
+                minimal_distinguished_ktype_oracle(six, radius)
+        wide = param(*[kappa(0)] * (ORACLE_MAX_RANK + 1))
+        with pytest.raises(PreconditionError, match=f"n <= {ORACLE_MAX_RANK}"):
+            minimal_distinguished_ktype_oracle(wide, 2)
 
     def test_agreement_with_construction_small(self):
         slots = ["0", "1/4", "-1/4", "1/2", "-1/2"]
