@@ -30,8 +30,8 @@ from typing import Optional
 
 from .cosets import (
     Composition,
+    class_dimensions,
     enumerate_involutions,
-    orbit_dimension,
     parabolic_classes,
     verify_representative,
 )
@@ -108,8 +108,11 @@ def _report(subcommand: str, inputs: dict, results: dict, criteria: list) -> dic
 def _emit(report: dict, args, text_lines) -> None:
     payload = json.dumps(report, indent=2)
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     if getattr(args, "json", False):
         print(payload)
     else:
@@ -287,7 +290,7 @@ def cmd_cosets(args) -> int:
         if comp.n != args.n:
             raise InputError(f"--comp {args.comp} does not sum to n = {args.n}")
         classes = parabolic_classes(args.n, comp)
-        dims = [orbit_dimension(cls[0], comp) for cls in classes]
+        dims = class_dimensions(classes, comp)
         full = 2 * args.n * args.n
         results["composition"] = list(parts)
         results["classes"] = [[w.to_json() for w in cls] for cls in classes]

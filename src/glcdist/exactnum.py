@@ -2,12 +2,13 @@
 
 All scalars used by the classification and coset machinery live here: plain
 rationals are ``fractions.Fraction`` (already canonical: lowest terms,
-positive denominator, arbitrary precision), a Gaussian rational is a pair of
-Fractions, and an ExactMatrix is a dense grid of Gaussian rationals.  The one
-non-trivial operation is ``real_rank``, which treats complex n-by-n matrices
-as real 2n^2-dimensional vectors and computes the rank over Q by
-fraction-free (Bareiss) elimination on integers.  Exact input from outside
-the program is read here too, by ``read_int`` and ``read_rational``.
+positive denominator, arbitrary precision) and a Gaussian rational is a pair
+of Fractions.  The one non-trivial operation is ``real_rank``, which takes
+complex n-by-n matrices as real 2n^2-dimensional integer vectors and
+computes their rank over Q by fraction-free (Bareiss) elimination; how a
+matrix becomes such a vector is decided by its caller (``cosets``).  Exact
+input from outside the program is read here too, by ``read_int`` and
+``read_rational``.
 
 Everything is immutable after construction and every function is pure.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -180,113 +180,6 @@ GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
 
 
-class ExactMatrix:
-    """A rows-by-cols grid of Gaussian rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[GaussianRational]]):
-        rows = len(entries)
-        if rows == 0:
-            raise ValueError("matrix needs at least one row")
-        cols = len(entries[0])
-        if cols == 0 or any(len(r) != cols for r in entries):
-            raise ValueError("ragged or empty matrix")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(_coerce(x) for x in row) for row in entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int, value: GaussianRational = GQ_ONE) -> "ExactMatrix":
-        """n-by-n matrix with a single entry at 0-based (i, j)."""
-        entries = [[GQ_ZERO] * n for _ in range(n)]
-        entries[i][j] = value
-        return cls(entries)
-
-    def __getitem__(self, ij) -> GaussianRational:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.entries
-        )
-        return f"ExactMatrix[{body}]"
-
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[x.conj() for x in row] for row in self.entries])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = GQ_ZERO
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
-
-    def inverse(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices invert")
-        n = self.rows
-        aug = [list(row) + [GQ_ONE if i == j else GQ_ZERO for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = aug[col][col].inv()
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
-
-    def realify(self) -> tuple:
-        """Flatten into 2*rows*cols rational coordinates (re, im per entry)."""
-        flat = []
-        for row in self.entries:
-            for x in row:
-                flat.append(x.re)
-                flat.append(x.im)
-        return tuple(flat)
-
-
-def _integer_row(fracs: Sequence[Fraction]) -> list:
-    """Clear denominators of one row (scaling does not change the row span)."""
-    lcm = 1
-    for q in fracs:
-        d = q.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    return [int(q * lcm) for q in fracs]
-
-
 def _bareiss_rank(rows: list) -> int:
     """Rank of an integer matrix by fraction-free elimination.
 
@@ -317,15 +210,16 @@ def _bareiss_rank(rows: list) -> int:
     return pivot_row
 
 
-def real_rank(vectors: Iterable[ExactMatrix], n: int) -> int:
+def real_rank(vectors: Iterable[Sequence[int]], n: int) -> int:
     """Dimension over R of the span of complex n-by-n matrices, exactly.
 
-    Each matrix is realified into a 2n^2-coordinate rational vector and the
-    rank is computed over Q.  Raises ValueError on a shape mismatch.
+    Each matrix comes as its 2n^2 realified integer coordinates (re, im per
+    entry, row-major), and the rank is computed over Q.  Raises ValueError
+    for a vector of any other length.
     """
-    rows = []
-    for mat in vectors:
-        if mat.rows != n or mat.cols != n:
-            raise ValueError(f"expected {n}x{n} matrix, got {mat.rows}x{mat.cols}")
-        rows.append(_integer_row(mat.realify()))
+    size = 2 * n * n
+    rows = [list(v) for v in vectors]
+    for row in rows:
+        if len(row) != size:
+            raise ValueError(f"expected the {size} coordinates of a {n}x{n} matrix, got {len(row)}")
     return _bareiss_rank(rows)

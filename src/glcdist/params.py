@@ -71,10 +71,6 @@ class CharacterCx:
         """
         return CharacterCx(self.m, -self.s)
 
-    def value_at_minus_one(self) -> int:
-        """kappa_{m,s}(-1) = (-1)^m; the modulus factor is 1 at z = -1."""
-        return -1 if self.m % 2 else 1
-
     def __mul__(self, other: "CharacterCx") -> "CharacterCx":
         return CharacterCx(self.m + other.m, self.s + other.s)
 

@@ -249,8 +249,10 @@ BAD_INPUTS = [
     (["cosets", "--n", "4", "--comp", "0,4"], 2),
     (["cosets", "--n", "4", "--comp", "2,x"], 1),
     (["cosets", "--n", "4", "--comp", "2.0,2"], 1),
+    (["cosets", "--n", "8", "--comp", "1,1,1,1,1,1,1,1"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
+    (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),
 ]
 
 

@@ -1,9 +1,13 @@
 import pytest
 
+from glcdist import cosets
 from glcdist.cosets import (
+    ORBIT_MAX_RANK_ENTRIES,
     Composition,
     Involution,
+    class_dimensions,
     enumerate_involutions,
+    in_torus_translate,
     is_open_orbit,
     orbit_dimension,
     parabolic_classes,
@@ -11,7 +15,20 @@ from glcdist.cosets import (
     verify_representative,
 )
 from glcdist.errors import PreconditionError
-from glcdist.exactnum import ExactMatrix, GQ_I, GQ_ONE, GQ_ZERO
+from glcdist.exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def gaussian_rows(rows):
+    return tuple(tuple(GaussianRational(x) for x in row) for row in rows)
 
 
 class TestEnumeration:
@@ -44,27 +61,34 @@ class TestEnumeration:
 
 class TestRepresentatives:
     def test_identity(self):
-        assert representative(Involution((1, 2, 3))) == ExactMatrix.identity(3)
+        assert representative(Involution((1, 2, 3))) == gaussian_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_transposition_block(self):
         m = representative(Involution((2, 1)))
-        assert m == ExactMatrix([[GQ_ONE, GQ_I], [GQ_I, GQ_ONE]])
+        assert m == ((GQ_ONE, GQ_I), (GQ_I, GQ_ONE))
 
     def test_disjoint_product(self):
         m = representative(Involution((2, 1, 4, 3)))
-        block = [[GQ_ONE, GQ_I], [GQ_I, GQ_ONE]]
-        expected = [
-            [block[0][0], block[0][1], GQ_ZERO, GQ_ZERO],
-            [block[1][0], block[1][1], GQ_ZERO, GQ_ZERO],
-            [GQ_ZERO, GQ_ZERO, block[0][0], block[0][1]],
-            [GQ_ZERO, GQ_ZERO, block[1][0], block[1][1]],
-        ]
-        assert m == ExactMatrix(expected)
+        expected = (
+            (GQ_ONE, GQ_I, GQ_ZERO, GQ_ZERO),
+            (GQ_I, GQ_ONE, GQ_ZERO, GQ_ZERO),
+            (GQ_ZERO, GQ_ZERO, GQ_ONE, GQ_I),
+            (GQ_ZERO, GQ_ZERO, GQ_I, GQ_ONE),
+        )
+        assert m == expected
 
     def test_twisted_conjugation_lands_in_torus_translate(self):
+        # g conj(g)^{-1} = w t means row w(j) of g is t_j conj(row j).
         g = representative(Involution((2, 1)))
-        m = g @ g.conj().inverse()
-        assert m == ExactMatrix([[GQ_ZERO, GQ_I], [GQ_I, GQ_ZERO]])
+        assert g[1] == tuple(GQ_I * x.conj() for x in g[0])
+
+    def test_check_rejects_wrong_matrices(self):
+        w = Involution((2, 1))
+        assert in_torus_translate(representative(w), w)
+        for rows in ([[1, 1], [1, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]]):
+            assert not in_torus_translate(gaussian_rows(rows), w), rows
+        with pytest.raises(ValueError):
+            in_torus_translate(gaussian_rows([["1/2", 0], [0, 1]]), w)
 
     def test_verification_examples(self):
         assert verify_representative(Involution((1, 2)))
@@ -141,14 +165,6 @@ class TestOrbitDimensions:
             assert open_reps == [pairing]
 
     def test_unique_open_class_rank_three(self):
-        def compositions(n):
-            if n == 0:
-                yield ()
-                return
-            for first in range(1, n + 1):
-                for rest in compositions(n - first):
-                    yield (first,) + rest
-
         for parts in compositions(3):
             comp = Composition(parts)
             classes = parabolic_classes(3, comp)
@@ -159,3 +175,39 @@ class TestOrbitDimensions:
                 if dims.pop() == 18:
                     open_count += 1
             assert open_count == 1
+
+    def test_dimension_tables(self):
+        # Computed as dim(p + g h g^{-1}) with an exact inverse, before the
+        # tangent-space formulation; the two must agree.
+        borel = {
+            1: [2],
+            2: [7, 8],
+            3: [15, 16, 16, 18],
+            4: [26, 27, 27, 29, 27, 28, 29, 30, 31, 32],
+        }
+        for n, dims in borel.items():
+            comp = Composition((1,) * n)
+            assert [orbit_dimension(w, comp) for w in enumerate_involutions(n)] == dims
+        comp = Composition((2, 2))
+        assert [orbit_dimension(w, comp) for w in enumerate_involutions(4)] == [
+            28, 28, 31, 31, 28, 28, 31, 32, 31, 32,
+        ]
+
+    def test_work_cap(self, monkeypatch):
+        computed = []
+
+        def no_rank(w, comp):
+            computed.append(w)
+            return 0
+
+        monkeypatch.setattr(cosets, "orbit_dimension", no_rank)
+        for n in range(1, 7):
+            for parts in compositions(n):
+                classes = parabolic_classes(n, Composition(parts))
+                assert len(class_dimensions(classes, Composition(parts))) == len(classes)
+        computed.clear()
+        for n in (7, 8):
+            comp = Composition((1,) * n)
+            with pytest.raises(PreconditionError, match=f"ORBIT_MAX_RANK_ENTRIES = {ORBIT_MAX_RANK_ENTRIES}"):
+                class_dimensions(parabolic_classes(n, comp), comp)
+        assert computed == []

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, or defines a
+private module-level name that it never reads.
 
 No linter ships with the test dependencies, so this is checked from the
 syntax tree.  An import kept on purpose for other modules to read carries
@@ -40,3 +41,36 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(source: str) -> list:
+    """Module-level ``_name`` defs, classes and assignments never read in the module."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in read)
+
+
+def test_detects_an_unused_private_name():
+    source = "_a = 1\n_b, c = 2, 3\ndef _f():\n    return _b\nclass _C:\n    pass\n__all__ = []\nprint(_f)\n"
+    assert unused_private_names(source) == ["_C (line 5)", "_a (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

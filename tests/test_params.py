@@ -45,11 +45,6 @@ class TestCharacterOps:
     def test_conj_inverse_is_involution(self, c):
         assert c.conj_inverse().conj_inverse() == c
 
-    def test_value_at_minus_one(self):
-        assert kappa(1, 0).value_at_minus_one() == -1
-        assert kappa(2, 5).value_at_minus_one() == 1
-        assert kappa(0, "1/3", "2/5").value_at_minus_one() == 1
-
     def test_product_examples(self):
         assert kappa(1, "1/2") * kappa(1, "-1/2") == kappa(2, 0)
         assert kappa(0, 0) * kappa(3, "1/7") == kappa(3, "1/7")
