@@ -315,6 +315,3 @@ def class_dimensions(classes: List[List[Involution]], comp: Composition) -> List
         )
     return [orbit_dimension(cls[0], comp) for cls in classes]
 
-
-def is_open_orbit(w: Involution, comp: Composition) -> bool:
-    return orbit_dimension(w, comp) == 2 * w.n * w.n

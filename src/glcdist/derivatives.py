@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 from .distinction import check_condition_i
 from .errors import InputError
 from .exactnum import GaussianRational, read_int
-from .params import LanglandsParameter, expand_block, read_json
+from .params import LanglandsParameter, check_rank, expand_block, read_json
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ class MonomialRep:
                     read_int(raw.get("size"), '"size"'),
                 )
             )
+        check_rank(sum(b.size for b in blocks))
         return cls(blocks)
 
 

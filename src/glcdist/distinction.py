@@ -50,23 +50,6 @@ class InvolutionWitness:
     pairs: Tuple[Tuple[int, int], ...]
     fixed: Tuple[int, ...]
 
-    def validate(self, p: LanglandsParameter) -> bool:
-        seen = sorted(
-            [i for ij in self.pairs for i in ij] + list(self.fixed)
-        )
-        if seen != list(range(1, p.n + 1)):
-            return False
-        chars = p.chars
-        for i, j in self.pairs:
-            a, b = chars[i - 1], chars[j - 1]
-            if a.m != b.m or a.s != -b.s:
-                return False
-        for i in self.fixed:
-            c = chars[i - 1]
-            if not c.s.is_zero() or c.m % 2 != 0:
-                return False
-        return True
-
     def to_json(self) -> dict:
         return {
             "pairs": [list(ij) for ij in self.pairs],

@@ -57,11 +57,6 @@ def read_rational(value, what: str = "value") -> Fraction:
     raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
 
 
-def rational_to_str(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    return str(q)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """An element re + im*i of Q(i), with exact component-wise equality."""
@@ -114,16 +109,19 @@ class GaussianRational:
         return _coerce(other) * self.inv()
 
     def __pow__(self, exponent: int) -> "GaussianRational":
+        """Integer power by repeated squaring: O(log |exponent|) products."""
         if not isinstance(exponent, int):
             raise TypeError("only integer powers are exact")
         base = self if exponent >= 0 else self.inv()
+        exponent = abs(exponent)
         result = GQ_ONE
-        for _ in range(abs(exponent)):
-            result = result * base
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a rational."""
@@ -154,7 +152,7 @@ class GaussianRational:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
+        return {"re": str(self.re), "im": str(self.im)}
 
     @classmethod
     def parse(cls, obj) -> "GaussianRational":

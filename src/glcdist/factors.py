@@ -29,6 +29,17 @@ from .errors import PreconditionError
 from .exactnum import GQ_I, GQ_ONE, GaussianRational
 from .params import CharacterCx, LanglandsParameter
 
+_HALF = GaussianRational(Fraction(1, 2))
+
+# Cap on the size of a factor in bits, bits(z) being the longest numerator or
+# denominator of z: sum |m| * bits(b) for the unit prod i^|m| b^m plus
+# max(1, |Re e|/2) * bits(|b|^2) for the modulus power (|b|^2)^(e/2), and
+# bits(e) for the exponent e.  Exact parts then print far inside Python's
+# 4300-digit limit, and every rendered float stays below 2^1020 (1.5 x the
+# cap).  The epsilon criterion needs at most 608 bits (a pair factor; a
+# single parameter 65), cli-batch's eps requests at most 350.
+EPS_MAX_BITS = 680
+
 
 @dataclass(frozen=True)
 class AdditiveCharacterSpec:
@@ -96,7 +107,7 @@ class ExactEps:
         return {
             "unit": self.unit.to_json(),
             "abs_b_sq": str(self.abs_b_sq),
-            "half_exponent": (self.modulus_exponent * GaussianRational(Fraction(1, 2))).to_json(),
+            "half_exponent": (self.modulus_exponent * _HALF).to_json(),
             "numeric": [value.real, value.imag],
         }
 
@@ -111,33 +122,43 @@ def eps_character(
     """Factor of one character kappa_{m,t} at the point s0 against psi_b:
     unit i^{|m|} b^m, modulus exponent 2t - m + s0 - 1/2."""
     m = c.m
-    unit = (GQ_I ** abs(m)) * (psi.b ** m)
-    exponent = c.s + c.s + (s0 - m - GaussianRational(Fraction(1, 2)))
+    unit = (GQ_I ** (abs(m) % 4)) * (psi.b ** m)
+    exponent = c.s + c.s + (s0 - m - _HALF)
     return ExactEps(unit, psi.abs_sq(), exponent)
 
 
-def eps_half_trivial_psi(c: CharacterCx, psi: AdditiveCharacterSpec) -> ExactEps:
-    """Central-point factor for psi trivial on the reals, as a piecewise
-    closed form: |b|^(2t) for m <= 0, and (-1)^m |b|^(2t) for m > 0."""
-    if not psi.trivial_on_r:
+def _bits(*qs: Fraction) -> int:
+    """The longest numerator or denominator among qs, in bits."""
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in qs)
+
+
+def _product(chars, psi: AdditiveCharacterSpec, s0: GaussianRational) -> ExactEps:
+    """The product of the factors of ``chars`` at s0, within EPS_MAX_BITS."""
+    n = len(chars)
+    re = 2 * sum(c.s.re for c in chars) - sum(c.m for c in chars) + n * (s0.re - _HALF.re)
+    im = 2 * sum(c.s.im for c in chars) + n * s0.im
+    unit_bits = sum(abs(c.m) for c in chars) * _bits(psi.b.re, psi.b.im)
+    power_bits = max(1, -(-abs(re) // 2)) * _bits(psi.abs_sq())
+    exponent_bits = _bits(re, im)
+    if max(unit_bits + power_bits, exponent_bits) > EPS_MAX_BITS:
         raise PreconditionError(
-            "the piecewise central-value formula requires an additive "
-            "character trivial on the reals (purely imaginary b)"
+            f"the factor needs {unit_bits + power_bits} bits for its unit and modulus power and "
+            f"{exponent_bits} for its exponent; at most EPS_MAX_BITS = {EPS_MAX_BITS} are supported"
         )
-    sign = -1 if (c.m > 0 and c.m % 2 == 1) else 1
-    return ExactEps(GaussianRational(sign), psi.abs_sq(), c.s + c.s)
+    acc = ExactEps.one(psi)
+    for c in chars:
+        acc = acc * eps_character(c, psi, s0)
+    return acc
 
 
 def eps_rep(
     p: LanglandsParameter,
     psi: AdditiveCharacterSpec,
-    s0: GaussianRational = GaussianRational(Fraction(1, 2)),
+    s0: GaussianRational = _HALF,
 ) -> ExactEps:
-    """Factor of a parameter: the product over its characters."""
-    acc = ExactEps.one(psi)
-    for c in p.chars:
-        acc = acc * eps_character(c, psi, s0)
-    return acc
+    """Factor of a parameter: the product over its characters.  Precondition:
+    it fits EPS_MAX_BITS, else PreconditionError before any power is computed."""
+    return _product(p.chars, psi, s0)
 
 
 def eps_pair(
@@ -146,10 +167,5 @@ def eps_pair(
     psi: AdditiveCharacterSpec,
 ) -> ExactEps:
     """Pair factor at the central point: the product over all character
-    products of one entry from each parameter."""
-    half = GaussianRational(Fraction(1, 2))
-    acc = ExactEps.one(psi)
-    for a in p1.chars:
-        for b in p2.chars:
-            acc = acc * eps_character(a * b, psi, half)
-    return acc
+    products of one entry from each parameter, within EPS_MAX_BITS."""
+    return _product([a * b for a in p1.chars for b in p2.chars], psi, _HALF)

@@ -10,8 +10,9 @@ with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), times the angular moment
 A(p) = integral over [0, 2pi) of |sin t|^p (integrated numerically).  The
 numeric side integrates the displayed two-variable integrand directly with
 nested adaptive Gauss-Kronrod rules; the improper radial direction is split
-at r = 1 and cut off at a configurable radius, beyond which a power-law
-extrapolation supplies the tail.
+at r = 1 and cut off at the fixed radius RADIAL_CUTOFF, beyond which a
+power-law extrapolation supplies the tail; an adaptive integral splits into
+at most MAX_SUBDIVISIONS panels.
 
 An "as-displayed" variant of each closed form is kept as well: it omits the
 substitution Jacobian (and, in case 2, keeps a first-order denominator
@@ -37,7 +38,6 @@ from typing import Callable, NamedTuple, Tuple
 import numpy as np
 
 from .errors import PreconditionError, QuadratureError
-from .exactnum import GaussianRational
 
 # -- complex gamma -----------------------------------------------------------
 
@@ -111,33 +111,29 @@ _WG = np.array(
 )
 
 
+# Panels an adaptive integral may split into, and the radius where improper
+# radial integrals hand over to the power-law tail (the integrand must be in
+# its power-law regime there for the tail to fall below tolerance).
+MAX_SUBDIVISIONS = 600
+RADIAL_CUTOFF = 1000.0
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the adaptive integrator.
-
-    ``radial_cutoff`` bounds the finite part of improper radial integrals;
-    it must be large enough that the integrand has entered its power-law
-    regime there (the extrapolated tail then contributes below tolerance).
-    """
+    """Tolerances for the adaptive integrator."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
-    max_subdivisions: int = 600
-    radial_cutoff: float = 1000.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1 or self.radial_cutoff <= 1:
-            raise ValueError("bad subdivision limit or radial cutoff")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 # The configuration of verify-kernel rows (and so of the kernel criterion).
-KERNEL_CONFIG = QuadratureConfig(
-    abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=600, radial_cutoff=1000.0
-)
+KERNEL_CONFIG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
 
 
 def _kronrod_panel(f: Callable, a: float, b: float) -> Tuple[complex, float]:
@@ -160,7 +156,7 @@ def adaptive_quad(
         total_err = sum(e for _, _, _, e in intervals)
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             break
-        if len(intervals) >= cfg.max_subdivisions:
+        if len(intervals) >= MAX_SUBDIVISIONS:
             raise QuadratureError("subdivision limit reached", total_err)
         worst = max(range(len(intervals)), key=lambda i: (intervals[i][3], -intervals[i][0]))
         wa, wb, _, _ = intervals[worst]
@@ -188,11 +184,11 @@ def _power_law_tail(f: Callable, cutoff: float) -> complex:
 
 
 def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Integral of f over (0, inf): split at 1, cut at the configured
-    radius, power-law tail beyond."""
+    """Integral of f over (0, inf): split at 1, cut at RADIAL_CUTOFF,
+    power-law tail beyond."""
     inner = adaptive_quad(f, 0.0, 1.0, cfg)
-    outer = adaptive_quad(f, 1.0, cfg.radial_cutoff, cfg)
-    return inner + outer + _power_law_tail(f, cfg.radial_cutoff)
+    outer = adaptive_quad(f, 1.0, RADIAL_CUTOFF, cfg)
+    return inner + outer + _power_law_tail(f, RADIAL_CUTOFF)
 
 
 def angular_moment(p: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
@@ -435,9 +431,3 @@ def kernel_row(s: complex, case: str) -> KernelRow:
         numeric / displayed(s, KERNEL_CONFIG),
         expected,
     )
-
-
-def irreducibility_guard(s: GaussianRational) -> bool:
-    """True iff s avoids the reducibility set: the nonzero rational
-    integers."""
-    return not (s.is_integer() and not s.is_zero())

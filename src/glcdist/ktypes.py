@@ -4,17 +4,12 @@ An irreducible representation of U(n) is identified with its highest
 weight, a weakly decreasing integer n-tuple.  This module provides:
 
 *   the evenness test for carrying an O(n)-fixed vector,
-*   sorted concatenation of two highest weights (the K-type on which a
-    product of two periods stays non-vanishing),
 *   the lowest K-type of a principal-series parameter and the construction
     of its distinguished minimal K-type (each odd entry value of even
     multiplicity 2c is replaced by c copies of value+1 and c of value-1),
 *   an independent brute-force oracle for the distinguished minimal K-type,
     backed by exact weight multiplicities (Kostant partition function with
-    Weyl alternation), and
-*   restriction multiplicities U(n+m) down to U(n) x U(m) by the
-    Littlewood-Richardson rule, with the uniform-shift reduction that makes
-    weights with negative entries into partitions.
+    Weyl alternation).
 """
 
 from __future__ import annotations
@@ -84,14 +79,6 @@ class HighestWeight:
 def is_o_distinguished(mu) -> bool:
     """True iff every entry is even (existence of an O(n)-fixed vector)."""
     return all(x % 2 == 0 for x in HighestWeight.of(mu))
-
-
-def concat_reorder(mu, gamma) -> HighestWeight:
-    """The weakly decreasing merge of two highest weights."""
-    merged = sorted(
-        list(HighestWeight.of(mu)) + list(HighestWeight.of(gamma)), reverse=True
-    )
-    return HighestWeight(merged)
 
 
 def lowest_ktype(p: LanglandsParameter) -> HighestWeight:
@@ -307,74 +294,3 @@ def minimal_distinguished_ktype_oracle(
         )
     return best
 
-
-# -- Littlewood-Richardson restriction ---------------------------------------
-
-
-def _lr_skew_count(outer: Sequence[int], inner: Sequence[int], content: Sequence[int]) -> int:
-    """Number of Littlewood-Richardson skew tableaux of shape outer/inner
-    with the given content: semistandard filling whose reverse reading word
-    is a lattice word."""
-    rows = len(outer)
-    cells = []
-    for r in range(rows):
-        lo = inner[r] if r < len(inner) else 0
-        for col in range(outer[r] - 1, lo - 1, -1):
-            cells.append((r, col))
-    if sum(outer) - sum(inner) != sum(content):
-        return 0
-    values = len(content)
-    grid: Dict[Tuple[int, int], int] = {}
-    used = [0] * (values + 1)
-
-    def rec(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        r, col = cells[pos]
-        above = grid.get((r - 1, col))
-        right = grid.get((r, col + 1))
-        total = 0
-        for v in range(1, values + 1):
-            if used[v] >= content[v - 1]:
-                continue
-            if v > 1 and used[v] + 1 > used[v - 1]:
-                continue  # lattice word prefix violated
-            if right is not None and v > right:
-                continue  # rows weakly increase left to right
-            if above is not None and v <= above:
-                continue  # columns strictly increase downward
-            grid[(r, col)] = v
-            used[v] += 1
-            total += rec(pos + 1)
-            used[v] -= 1
-            del grid[(r, col)]
-        return total
-
-    return rec(0)
-
-
-def lr_restriction_multiplicity(sigma, mu, gamma) -> int:
-    """Multiplicity of mu (x) gamma in sigma restricted to U(n) x U(m).
-
-    All three weights are shifted by one common constant so they become
-    partitions (a determinant twist on each factor, which leaves branching
-    multiplicities unchanged), then counted by the Littlewood-Richardson
-    rule.  Raises ValueError when len(sigma) != len(mu) + len(gamma).
-    """
-    sigma = HighestWeight.of(sigma)
-    mu = HighestWeight.of(mu)
-    gamma = HighestWeight.of(gamma)
-    if len(sigma) != len(mu) + len(gamma):
-        raise ValueError("rank mismatch: len(sigma) must be len(mu)+len(gamma)")
-    shift = -min(min(sigma), min(mu), min(gamma), 0)
-    s = [x + shift for x in sigma]
-    a = [x + shift for x in mu]
-    g = [x + shift for x in gamma]
-    if sum(s) != sum(a) + sum(g):
-        return 0
-    a_padded = a + [0] * (len(s) - len(a))
-    if any(a_padded[i] > s[i] for i in range(len(s))):
-        return 0
-    if any(x < 0 for x in g):
-        return 0
-    return _lr_skew_count(s, a_padded, g)

@@ -253,6 +253,14 @@ BAD_INPUTS = [
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
     (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),
+    # Work with no bound before MAX_RANK and EPS_MAX_BITS; each ends at once.
+    (["classify", "--json", "--inline", '{"type":"unitary","blocks":[{"kind":"char","n":10000000,"k":0,"u":"0"}]}'], 2),
+    (["derive", "--inline", '{"type":"monomial","blocks":[{"size":1000,"k":1,"s":"0"}]}'], 2),
+    (["eps", "--inline", langlands(m="100000000", s='"0"')], 2),
+    (["eps", "--inline", langlands(m="20000", s='"0"'), "--b=2,0"], 2),
+    (["eps", "--inline", langlands(m="0", s='"100000000"'), "--b=2,0"], 2),
+    (["eps", "--json", "--inline", '{"type":"langlands","characters":[{"m":0,"s":"1/%d"},{"m":0,"s":"1/%d"}]}'
+      % (10**3999 + 1, 10**3999 + 3)], 2),
 ]
 
 
@@ -273,11 +281,10 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
-# Documents shaped like the input files, so that the readers see bad leaves.
-# Integers stay small: a block or exponent of size 10**9 is exact work of
-# that size, which no reader rejects.
+# Documents shaped like the input files, so that the readers see bad leaves,
+# and blocks and exponents up to 10**9, past MAX_RANK and EPS_MAX_BITS.
 leaves = (
-    st.integers(-3, 3) | st.booleans() | st.floats() | st.none()
+    st.integers(-3, 3) | st.integers(-10**9, 10**9) | st.booleans() | st.floats() | st.none()
     | st.sampled_from(["0", "1/2", "-1/3", "1/0", "0.5", " 2 "]) | st.text(max_size=4)
 )
 slots = leaves | st.fixed_dictionaries({"re": leaves, "im": leaves})
@@ -290,7 +297,9 @@ documents = json_values | st.fixed_dictionaries(
      "characters": st.lists(entries, max_size=3) | leaves,
      "blocks": st.lists(entries, max_size=3) | leaves}
 )
-texts = st.text(max_size=8) | st.from_regex(r"-?[0-9]{1,2}(/-?[0-9])?(,-?[0-9](\.[0-9])?)?", fullmatch=True)
+texts = st.text(max_size=8) | st.from_regex(
+    r"-?[0-9]{1,4}(/-?[0-9]{1,3})?(,-?[0-9]{1,4}(/[0-9]{1,3}|\.[0-9])?)?", fullmatch=True
+)
 requests = st.one_of(
     st.tuples(st.sampled_from(["classify", "derive"]), documents).map(
         lambda t: [t[0], "--inline", json.dumps(t[1])]),

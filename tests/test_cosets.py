@@ -8,7 +8,6 @@ from glcdist.cosets import (
     class_dimensions,
     enumerate_involutions,
     in_torus_translate,
-    is_open_orbit,
     orbit_dimension,
     parabolic_classes,
     representative,
@@ -80,7 +79,7 @@ class TestRepresentatives:
     def test_twisted_conjugation_lands_in_torus_translate(self):
         # g conj(g)^{-1} = w t means row w(j) of g is t_j conj(row j).
         g = representative(Involution((2, 1)))
-        assert g[1] == tuple(GQ_I * x.conj() for x in g[0])
+        assert g[1] == tuple(GQ_I * GaussianRational(x.re, -x.im) for x in g[0])
 
     def test_check_rejects_wrong_matrices(self):
         w = Involution((2, 1))
@@ -134,7 +133,6 @@ class TestOrbitDimensions:
         comp = Composition((1, 1))
         assert orbit_dimension(Involution((1, 2)), comp) == 7
         assert orbit_dimension(Involution((2, 1)), comp) == 8
-        assert is_open_orbit(Involution((2, 1)), comp)
 
     def test_full_parabolic_always_open(self):
         for w in enumerate_involutions(3):

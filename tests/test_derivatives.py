@@ -10,8 +10,9 @@ from glcdist.derivatives import (
     necessity_verdict,
 )
 from glcdist.distinction import check_condition_i, check_condition_ii
+from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
-from glcdist.params import CharacterCx, LanglandsParameter
+from glcdist.params import MAX_RANK, CharacterCx, LanglandsParameter
 
 
 def gq(re, im=0):
@@ -58,6 +59,14 @@ class TestParameterExpansion:
         assert mono((1, 0, 2)).parameter() == LanglandsParameter(
             [CharacterCx(1, gq("1/2")), CharacterCx(1, gq("-1/2"))]
         )
+
+    def test_rank_cap(self):
+        def doc(*sizes):
+            return {"type": "monomial", "blocks": [{"k": 1, "s": "0", "size": n} for n in sizes]}
+
+        assert MonomialRep.parse(doc(MAX_RANK - 1, 1)).total_size == MAX_RANK
+        with pytest.raises(PreconditionError, match="MAX_RANK"):
+            MonomialRep.parse(doc(MAX_RANK, 1))
 
 
 class TestNecessity:

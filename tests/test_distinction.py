@@ -37,6 +37,20 @@ def param(*chars):
 SGN2 = CharBlock(2, 1, gq(0))
 
 
+def witness_is_valid(witness, p):
+    """The witness's pairs and fixed points partition 1..n, each pair joins
+    kappa_{m,s} with kappa_{m,-s}, and each fixed point has s = 0, m even."""
+    seen = sorted([i for ij in witness.pairs for i in ij] + list(witness.fixed))
+    if seen != list(range(1, p.n + 1)):
+        return False
+    chars = p.chars
+    for i, j in witness.pairs:
+        a, b = chars[i - 1], chars[j - 1]
+        if a.m != b.m or a.s != -b.s:
+            return False
+    return all(chars[i - 1].s.is_zero() and chars[i - 1].m % 2 == 0 for i in witness.fixed)
+
+
 class TestConditionI:
     def test_paired(self):
         ok, witness = check_condition_i(param(kappa(1, "1/2"), kappa(1, "-1/2")))
@@ -57,7 +71,7 @@ class TestConditionI:
         )
         ok, witness = check_condition_i(p)
         assert ok
-        assert witness.validate(p)
+        assert witness_is_valid(witness, p)
 
     def test_monotone_failure(self):
         base = [kappa(1, 0), kappa(1, 0), kappa(0, 0)]
@@ -142,7 +156,7 @@ class TestInvariants:
         rng = random.Random(98)
         for _ in range(100):
             p = random_distinguished_parameter(rng, 6)
-            flipped = p.conjugated()
+            flipped = LanglandsParameter(c.conj_inverse() for c in p)
             assert (
                 is_distinguished_unitary(p).distinguished
                 == is_distinguished_unitary(flipped).distinguished
@@ -153,7 +167,7 @@ class TestInvariants:
         for _ in range(200):
             p = random_distinguished_parameter(rng, 8)
             ok, witness = check_condition_i(p)
-            assert ok and witness.validate(p)
+            assert ok and witness_is_valid(witness, p)
 
     def test_witness_deterministic(self):
         rng = random.Random(100)

@@ -9,7 +9,6 @@ from glcdist.factors import (
     AdditiveCharacterSpec,
     ExactEps,
     eps_character,
-    eps_half_trivial_psi,
     eps_pair,
     eps_rep,
 )
@@ -27,6 +26,16 @@ def kappa(m, re="0", im=0):
 
 def param(*chars):
     return LanglandsParameter(chars)
+
+
+def eps_half_trivial_psi(c, psi):
+    """Central-point factor for psi trivial on the reals, as a piecewise
+    closed form independent of eps_character: |b|^(2t) for m <= 0, and
+    (-1)^m |b|^(2t) for m > 0."""
+    if not psi.trivial_on_r:
+        raise PreconditionError("the piecewise formula needs a purely imaginary b")
+    sign = -1 if (c.m > 0 and c.m % 2 == 1) else 1
+    return ExactEps(GaussianRational(sign), psi.abs_sq(), c.s + c.s)
 
 
 PSI_I = AdditiveCharacterSpec(gq(0, 1))
@@ -153,6 +162,18 @@ class TestExactEps:
         blob = eps_rep(param(kappa(1, "1/2"), kappa(1, "-1/2")), PSI_2I).to_json()
         assert set(blob) == {"unit", "abs_b_sq", "half_exponent", "numeric"}
         assert blob["abs_b_sq"] == "4"
+
+    def test_size_cap(self):
+        # At b = 1 the unit of kappa_{m,0} takes |m| bits of EPS_MAX_BITS and
+        # the modulus power ceil(|m|/2): 453 + 227 fits 680, 454 + 227 does not.
+        psi_one = AdditiveCharacterSpec(gq(1))
+        assert eps_rep(param(kappa(453)), psi_one).exact_value() == gq(0, 1)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_rep(param(kappa(454)), psi_one)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_pair(param(kappa(300)), param(kappa(300)), psi_one)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_rep(param(kappa(0, "1/%d" % (10**300 + 1))), PSI_I)
 
     def test_zero_twist_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it does not use, or defines a
-private module-level name that it never reads.
+"""No module of the package imports a name it does not use, defines a
+private module-level name that it never reads, or defines a public name that
+nothing outside the tests reads.
 
 No linter ships with the test dependencies, so this is checked from the
 syntax tree.  An import kept on purpose for other modules to read carries
-``# noqa: F401`` on its line.
+``# noqa: F401`` on its line.  The import and private-name checks cover
+``perfbench/*.py`` too.
 """
 
 import ast
@@ -14,6 +16,9 @@ import pytest
 import glcdist
 
 MODULES = sorted(Path(glcdist.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+LINTED = MODULES + BENCH
+LINTED_IDS = [path.name for path in MODULES] + [f"perfbench/{path.name}" for path in BENCH]
 
 
 def unused_imports(source: str) -> list:
@@ -38,9 +43,19 @@ def test_detects_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", LINTED, ids=LINTED_IDS)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assigned_names(node) -> list:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 def unused_private_names(source: str) -> list:
@@ -48,14 +63,7 @@ def unused_private_names(source: str) -> list:
     tree = ast.parse(source)
     defined = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
+        for name in assigned_names(node):
             if name.startswith("_") and not name.startswith("__"):
                 defined.setdefault(name, node.lineno)
     read = {
@@ -71,6 +79,100 @@ def test_detects_an_unused_private_name():
     assert unused_private_names(source) == ["_C (line 5)", "_a (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", LINTED, ids=LINTED_IDS)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def collect_reads(tree, reads: dict) -> None:
+    """For each Name or Attribute read in ``tree``, append to ``reads[name]``
+    the ids of the definitions that enclose the read."""
+
+    def visit(node, enclosing):
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+
+
+def overrides(cls, name: str, classes: dict, namespace: dict) -> bool:
+    """True if a base of ``cls`` defines ``name``: a class of the linted
+    modules, or one its absolute imports or the builtins resolve."""
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in classes:
+            owner = classes[base.id]
+            if any(isinstance(item, FUNCTIONS) and item.name == name for item in owner.body):
+                return True
+            if overrides(owner, name, classes, namespace):
+                return True
+            continue
+        try:
+            resolved = eval(compile(ast.Expression(base), "<base>", "eval"), namespace)
+        except NameError:
+            continue
+        if hasattr(resolved, name):
+            return True
+    return False
+
+
+def unread_public_names(module_sources: dict, reader_sources: list) -> list:
+    """Public module-level defs, classes and assignments, and public methods,
+    of ``module_sources`` (module name -> source) that neither those modules
+    nor ``reader_sources`` read outside the name's own definition.
+
+    A read is a Name or Attribute in load context.  Dunder names are exempt,
+    and so is a method that overrides one of a base class.
+    """
+    trees = {module: ast.parse(source) for module, source in module_sources.items()}
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    defined = []
+    for module, tree in trees.items():
+        imports = [n for n in tree.body if isinstance(n, ast.Import) or (isinstance(n, ast.ImportFrom) and not n.level)]
+        namespace: dict = {}
+        exec(compile(ast.Module(imports, []), module, "exec"), namespace)
+        for node in tree.body:
+            defined += [(f"{module}.{name}", name, node) for name in assigned_names(node) if not name.startswith("_")]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{item.name}", item.name, item)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                    and not item.name.startswith("_")
+                    and not overrides(node, item.name, classes, namespace)
+                ]
+    reads: dict = {}
+    for tree in list(trees.values()) + [ast.parse(source) for source in reader_sources]:
+        collect_reads(tree, reads)
+    return sorted(
+        label for label, name, node in defined if all(id(node) in enclosing for enclosing in reads.get(name, []))
+    )
+
+
+def test_detects_an_unread_public_name():
+    module = (
+        "import argparse\n"
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        pass\n"
+        "    def unread(self):\n        return self.unread()\n"
+        "    def __repr__(self):\n        return ''\n"
+        "class Child(Parser):\n    def error(self, message):\n        pass\n"
+    )
+    reader = "import m\nm.used()\nm.Parser()\nm.Child()\n"
+    assert unread_public_names({"m": module}, [reader]) == ["m.Parser.unread", "m.recursive"]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [path.read_text(encoding="utf-8") for path in BENCH if path.name != "test_checks.py"]
+    assert unread_public_names(sources, readers) == []

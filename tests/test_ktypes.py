@@ -12,11 +12,9 @@ from glcdist.ktypes import (
     HighestWeight,
     NotDistinguishedError,
     RadiusExhaustedError,
-    concat_reorder,
     distinguished_minimal_ktype,
     is_o_distinguished,
     lowest_ktype,
-    lr_restriction_multiplicity,
     minimal_distinguished_ktype_oracle,
     weight_multiplicity,
 )
@@ -41,11 +39,6 @@ class TestBasics:
         assert is_o_distinguished((2, 2, 0))
         assert not is_o_distinguished((2, 1, 0))
         assert is_o_distinguished((0, 0, 0, 0))
-
-    def test_concat_reorder(self):
-        assert concat_reorder((2, 0), (2, 0)) == (2, 2, 0, 0)
-        assert concat_reorder((1,), (-1,)) == (1, -1)
-        assert concat_reorder((3, 1), (2,)) == (3, 2, 1)
 
     def test_weakly_decreasing_enforced(self):
         with pytest.raises(ValueError):
@@ -214,50 +207,3 @@ class TestOracle:
                 checked += 1
         assert checked > 10
 
-
-class TestRestriction:
-    def test_examples(self):
-        assert lr_restriction_multiplicity((2, 2, 0), (2, 0), (2,)) == 1
-        assert lr_restriction_multiplicity((2, 0, 0), (0, 0), (2,)) == 1
-        assert lr_restriction_multiplicity((2, 0), (1,), (2,)) == 0
-
-    def test_rank_mismatch_guarded(self):
-        with pytest.raises(ValueError):
-            lr_restriction_multiplicity((2, 2), (1, 0), (2,))
-
-    def test_negative_entries_via_shift(self):
-        # Restriction is determinant-twist invariant: shift everything by 2.
-        assert lr_restriction_multiplicity((0, 0, -2), (0, -2), (0,)) == (
-            lr_restriction_multiplicity((2, 2, 0), (2, 0), (2,))
-        )
-
-    def test_concat_has_multiplicity_one(self):
-        def weights(max_len):
-            for length in range(1, max_len + 1):
-                for entries in itertools.combinations_with_replacement(range(2, -3, -1), length):
-                    yield tuple(sorted(entries, reverse=True))
-
-        for mu in weights(3):
-            for gamma in weights(3):
-                sigma = concat_reorder(mu, gamma)
-                assert lr_restriction_multiplicity(sigma, mu, gamma) == 1, (mu, gamma)
-
-    def test_factor_symmetry(self):
-        cases = [
-            ((2, 2, 0), (2, 0), (2,)),
-            ((3, 1, 0), (2, 1), (1,)),
-            ((2, 1, 1, 0), (2, 1), (1, 0)),
-            ((2, 0, -2), (1, -1), (0,)),
-        ]
-        for sigma, mu, gamma in cases:
-            assert lr_restriction_multiplicity(sigma, mu, gamma) == (
-                lr_restriction_multiplicity(sigma, gamma, mu)
-            ), (sigma, mu, gamma)
-
-    def test_torus_restriction_matches_weights(self):
-        # Restricting (3,1) to U(1) x U(1) picks out its weights, each once.
-        assert lr_restriction_multiplicity((3, 1), (3,), (1,)) == 1
-        assert lr_restriction_multiplicity((3, 1), (1,), (3,)) == 1
-        assert lr_restriction_multiplicity((3, 1), (2,), (2,)) == 1
-        assert lr_restriction_multiplicity((3, 1), (4,), (0,)) == 0
-        assert lr_restriction_multiplicity((3, 1), (5,), (-1,)) == 0

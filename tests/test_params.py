@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
 from glcdist.params import (
+    MAX_RANK,
     CharBlock,
     CharacterCx,
     CompSeriesBlock,
@@ -120,6 +122,22 @@ class TestUnitaryBlocks:
         )
         assert rep.n == 7
         assert to_langlands(rep).n == 7
+
+    def test_rank_cap(self):
+        # The cap counts characters, or the total size of the blocks, before
+        # any block is expanded.
+        def chars(n):
+            return {"type": "langlands", "characters": [{"m": 0, "s": "0"}] * n}
+
+        def blocks(n, m):
+            return {"type": "unitary", "blocks": [{"kind": "char", "n": n, "k": 0, "u": "0"},
+                                                  {"kind": "comp", "m": m, "k": 0, "u": "0", "t": "1/2"}]}
+
+        assert parse_parameter_file(chars(MAX_RANK)).n == MAX_RANK
+        assert parse_parameter_file(blocks(MAX_RANK - 2, 1)).n == MAX_RANK
+        for doc in (chars(MAX_RANK + 1), blocks(MAX_RANK - 1, 1), blocks(1, 10**12)):
+            with pytest.raises(PreconditionError, match="MAX_RANK"):
+                parse_parameter_file(doc)
 
     @given(
         st.lists(
