@@ -1,18 +1,24 @@
 """Complex special functions and quadrature for kernel-integral checks.
 
-The closed-form side of the two kernel pairings is re-derived through the
-Beta substitution u = r^2:
+Each kernel pairing integrates A(p) (1+r^2)^-a r^c over r > 0 and one
+period of t, where A(p) is the angular moment: the integral over [0, 2pi)
+of |sin t|^p, integrated numerically.  The integrand separates, so the
+numeric side is one angular moment times one radial integral, and the
+closed-form side is the same angular moment times the radial factor
+re-derived through the Beta substitution u = r^2:
 
     case 1 radial:  (1/2) B((1-s)/2, (3s+1)/2)     on -1/3 < Re s < 1
     case 2 radial:  (1/2) B(1-s/2, (3s+2)/2)       on -2/3 < Re s < 2
 
-with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), times the angular moment
-A(p) = integral over [0, 2pi) of |sin t|^p (integrated numerically).  The
-numeric side integrates the displayed two-variable integrand directly with
-nested adaptive Gauss-Kronrod rules; the improper radial direction is split
-at r = 1 and cut off at the fixed radius RADIAL_CUTOFF, beyond which a
-power-law extrapolation supplies the tail; an adaptive integral splits into
-at most MAX_SUBDIVISIONS panels.
+with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b).  The radial integral over
+(0, inf) is folded onto (0, 1] by r -> 1/r, so it is one finite-interval
+integral with no cutoff and no extrapolation.  Before the fold, each case
+substitutes r = x^q with q = 1/min(Re c + 1, Re(2a - c) - 1), which makes
+the power of x at 0 non-negative in both halves of the fold, in the style of
+beta_P's u^2 substitution; the integrand is evaluated in log space, so no
+value overflows.  An adaptive integral splits
+into at most MAX_SUBDIVISIONS panels, and a sample s must be finite with
+|Im s| <= KERNEL_MAX_IM.
 
 An "as-displayed" variant of each closed form is kept as well: it omits the
 substitution Jacobian (and, in case 2, keeps a first-order denominator
@@ -111,11 +117,8 @@ _WG = np.array(
 )
 
 
-# Panels an adaptive integral may split into, and the radius where improper
-# radial integrals hand over to the power-law tail (the integrand must be in
-# its power-law regime there for the tail to fall below tolerance).
+# Panels an adaptive integral may split into.
 MAX_SUBDIVISIONS = 600
-RADIAL_CUTOFF = 1000.0
 
 
 @dataclass(frozen=True)
@@ -169,26 +172,10 @@ def adaptive_quad(
     return sum(v for _, _, v, _ in intervals)
 
 
-def _power_law_tail(f: Callable, cutoff: float) -> complex:
-    """Extrapolated integral of f over [cutoff, inf) assuming f ~ A r^-p."""
-    f1 = complex(np.asarray(f(np.array([cutoff])), dtype=complex)[0])
-    f2 = complex(np.asarray(f(np.array([2.0 * cutoff])), dtype=complex)[0])
-    if f1 == 0:
-        return 0.0 + 0.0j
-    p = -cmath.log(f2 / f1) / math.log(2.0)
-    if p.real <= 1.0:
-        raise QuadratureError(
-            f"tail exponent {p.real:.3f} <= 1, divergent beyond cutoff", math.inf
-        )
-    return f1 * cutoff / (p - 1.0)
-
-
 def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Integral of f over (0, inf): split at 1, cut at RADIAL_CUTOFF,
-    power-law tail beyond."""
-    inner = adaptive_quad(f, 0.0, 1.0, cfg)
-    outer = adaptive_quad(f, 1.0, RADIAL_CUTOFF, cfg)
-    return inner + outer + _power_law_tail(f, RADIAL_CUTOFF)
+    """Integral of f over (0, inf), with (1, inf) folded onto (0, 1] by
+    r -> 1/r: the one finite integral of f(r) + f(1/r)/r^2 over [0, 1]."""
+    return adaptive_quad(lambda r: f(r) + f(1.0 / r) / (r * r), 0.0, 1.0, cfg)
 
 
 def angular_moment(p: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
@@ -266,9 +253,19 @@ class KernelCheck(NamedTuple):
 CASE1_STRIP = (-1.0 / 3.0, 1.0)
 CASE2_STRIP = (-2.0 / 3.0, 2.0)
 
+# The largest |Im s| a kernel check accepts.  Measured limits: past
+# |Im s| = 150.8, complex_gamma's reflection overflows in the left part of
+# each strip (Re s < 0 in case 1, Re s < -1/3 in case 2); past about 238 the
+# Gamma products of the reference underflow to 0 anywhere in the strips.
+KERNEL_MAX_IM = 100.0
+
 
 def _check_strip(s: complex, low: float, high: float, label: str) -> complex:
     s = complex(s)
+    if not (cmath.isfinite(s) and abs(s.imag) <= KERNEL_MAX_IM):
+        raise PreconditionError(
+            f"{label} requires a finite s with |Im s| <= {KERNEL_MAX_IM:g}; got s = {s}"
+        )
     if not (low < s.real < high):
         raise PreconditionError(
             f"{label} requires {low} < Re s < {high} for radial convergence; "
@@ -277,38 +274,20 @@ def _check_strip(s: complex, low: float, high: float, label: str) -> complex:
     return s
 
 
-def _nested_kernel_quad(
-    radial_power: complex,
-    inv_power: complex,
-    sin_power: complex,
-    r_factor: int,
-    cfg: QuadratureConfig,
-) -> complex:
-    """Integral over (r, theta) of
-    (1/(1+r^2))^radial_power (1/r)^inv_power |sin theta|^sin_power r^r_factor,
-    as a genuinely nested 2D quadrature: every outer angular node triggers
-    a full adaptive radial integral of the displayed integrand."""
+def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
+    """The integral of (1+r^2)^-a r^c over (0, inf), for Re c > -1 and
+    Re(2a - c) > 1.  With r = x^q the integrand is
+    q x^(q(c+1) - 1) (1+x^(2q))^-a; after the fold the power of x at 0 is
+    q(c+1) - 1 in one half and q(2a-c-1) - 1 in the other, and the choice
+    of q makes both real parts non-negative."""
+    q = 1.0 / min(c.real + 1.0, (2.0 * a - c).real - 1.0)
+    power = q * (c + 1.0) - 1.0
 
-    def outer(thetas):
-        out = np.zeros_like(thetas, dtype=complex)
-        for i, th in enumerate(thetas):
-            mag = abs(math.sin(th))
-            if mag == 0.0:
-                continue
-            angular = cmath.exp(complex(sin_power) * math.log(mag))
+    def integrand(x):
+        log_x = np.log(x)
+        return q * np.exp(power * log_x - a * np.logaddexp(0.0, 2.0 * q * log_x))
 
-            def radial_integrand(r, _w=angular):
-                return _w * np.exp(
-                    -radial_power * np.log1p(r * r)
-                    + (r_factor - inv_power) * np.log(r)
-                )
-
-            out[i] = radial_improper_quad(radial_integrand, cfg)
-        return out
-
-    return adaptive_quad(outer, 0.0, math.pi, cfg) + adaptive_quad(
-        outer, math.pi, 2.0 * math.pi, cfg
-    )
+    return radial_improper_quad(integrand, cfg)
 
 
 def kernel_case1(
@@ -321,10 +300,9 @@ def kernel_case1(
     u = r^2 applied to the radial factor.
     """
     s = _check_strip(s, CASE1_STRIP[0], CASE1_STRIP[1], "case 1")
-    numeric = _nested_kernel_quad(1.0 + s, 1.0 + s, 1.0 + s, 1, cfg)
-    reference = 0.5 * beta_fn((1.0 - s) / 2.0, (3.0 * s + 1.0) / 2.0) * angular_moment(
-        1.0 + s, cfg
-    )
+    angular = angular_moment(1.0 + s, cfg)
+    numeric = _radial_moment(1.0 + s, -s, cfg) * angular
+    reference = 0.5 * beta_fn((1.0 - s) / 2.0, (3.0 * s + 1.0) / 2.0) * angular
     return KernelCheck(numeric, reference)
 
 
@@ -338,10 +316,9 @@ def kernel_case2(
     the second-order denominator in the Beta factor.
     """
     s = _check_strip(s, CASE2_STRIP[0], CASE2_STRIP[1], "case 2")
-    numeric = _nested_kernel_quad(2.0 + s, 1.0 + s, 2.0 + s, 2, cfg)
-    reference = 0.5 * beta_fn(1.0 - s / 2.0, (3.0 * s + 2.0) / 2.0) * angular_moment(
-        2.0 + s, cfg
-    )
+    angular = angular_moment(2.0 + s, cfg)
+    numeric = _radial_moment(2.0 + s, 1.0 - s, cfg) * angular
+    reference = 0.5 * beta_fn(1.0 - s / 2.0, (3.0 * s + 2.0) / 2.0) * angular
     return KernelCheck(numeric, reference)
 
 

@@ -327,8 +327,9 @@ KERNEL_SAMPLES = (0.0 + 0.0j, 0.2 + 0.0j, 0.4 + 0.0j, 0.2 + 0.3j)
 
 
 def criterion_8_kernel_oracle() -> Tuple[bool, str]:
-    """Nested quadrature vs the Beta-substitution reference, plus the
-    case-1 normalization ratio, on the rows verify-kernel reports."""
+    """The numeric side (one angular moment times one folded radial
+    integral) vs the Beta-substitution reference, plus the case-1
+    normalization ratio, on the rows verify-kernel reports."""
     worst = 0.0
     for s in KERNEL_SAMPLES:
         for case in KERNEL_CASES:

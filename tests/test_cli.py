@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -160,10 +161,11 @@ class TestCosets:
 
 class TestVerifyKernel:
     def test_single_sample(self, capsys):
-        code, report = run_json(capsys, "verify-kernel", "--samples", "0")
+        # 0.999 lies next to case 1's strip edge at Re s = 1.
+        code, report = run_json(capsys, "verify-kernel", "--samples", "0,0.999")
         assert code == 0
         table = report["results"]["table"]
-        assert len(table) == 2
+        assert len(table) == 4
         for row in table:
             assert row["rel_err"] < 1e-6
             got = complex(*row["normalization_ratio"])
@@ -182,9 +184,9 @@ class TestVerifyKernel:
         assert code == 2
 
     def test_nonconvergence_exit_code(self, capsys):
-        # Inside the strip but too close to its edge for the radial
-        # quadrature to resolve within the subdivision limit.
-        code = main(["verify-kernel", "--samples", "0.999"])
+        # Inside case 1's strip, 3.3e-13 from its edge at Re s = -1/3: the
+        # radial quadrature cannot resolve it within the subdivision limit.
+        code = main(["verify-kernel", "--samples=-0.333333333333"])
         capsys.readouterr()
         assert code == 3
 
@@ -261,6 +263,10 @@ BAD_INPUTS = [
     (["eps", "--inline", langlands(m="0", s='"100000000"'), "--b=2,0"], 2),
     (["eps", "--json", "--inline", '{"type":"langlands","characters":[{"m":0,"s":"1/%d"},{"m":0,"s":"1/%d"}]}'
       % (10**3999 + 1, 10**3999 + 3)], 2),
+    # Kernel samples must be finite, with |Im s| <= KERNEL_MAX_IM.
+    (["verify-kernel", "--samples=0.2+1e308j"], 2),
+    (["verify-kernel", "--samples=0.2+nanj"], 2),
+    (["verify-kernel", "--samples=0.5+infj"], 2),
 ]
 
 
@@ -300,6 +306,12 @@ documents = json_values | st.fixed_dictionaries(
 texts = st.text(max_size=8) | st.from_regex(
     r"-?[0-9]{1,4}(/-?[0-9]{1,3})?(,-?[0-9]{1,4}(/[0-9]{1,3}|\.[0-9])?)?", fullmatch=True
 )
+# Kernel samples: junk, and complex numbers near the strip edges with small,
+# large and non-finite imaginary parts.
+edges = st.sampled_from([-1 / 3, 1.0, -2 / 3, 2.0, 0.2])
+imaginary = st.floats(-3, 3) | st.sampled_from([99.9, 100.0, 150.0, -1e308, math.inf, -math.inf, math.nan])
+samples = texts | st.tuples(edges, st.floats(-1e-3, 1e-3), imaginary).map(
+    lambda t: repr(complex(t[0] + t[1], t[2])))
 requests = st.one_of(
     st.tuples(st.sampled_from(["classify", "derive"]), documents).map(
         lambda t: [t[0], "--inline", json.dumps(t[1])]),
@@ -312,6 +324,7 @@ requests = st.one_of(
     # n <= 5 keeps every cosets call well under a second.
     st.tuples(st.text(max_size=3) | st.integers(-1, 5).map(str), st.none() | texts).map(
         lambda t: ["cosets", f"--n={t[0]}"] + ([] if t[1] is None else [f"--comp={t[1]}"])),
+    st.lists(samples, min_size=1, max_size=2).map(lambda t: ["verify-kernel", f"--samples={','.join(t)}"]),
 )
 
 

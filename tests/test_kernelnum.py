@@ -3,6 +3,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from glcdist.errors import PreconditionError, QuadratureError
@@ -10,6 +11,7 @@ from glcdist.kernelnum import (
     CASE1_STRIP,
     CASE2_STRIP,
     KERNEL_CONFIG,
+    KERNEL_MAX_IM,
     QuadratureConfig,
     adaptive_quad,
     angular_moment,
@@ -19,6 +21,7 @@ from glcdist.kernelnum import (
     complex_gamma,
     kernel_case1,
     kernel_case2,
+    radial_improper_quad,
 )
 
 FAST = KERNEL_CONFIG
@@ -160,6 +163,67 @@ class TestKernelCases:
             kernel_case1(-0.5, FAST)
         with pytest.raises(PreconditionError):
             kernel_case2(2.5, FAST)
+        # Samples must be finite, with |Im s| up to the stated cap.
+        for s in (complex(0.2, math.nan), complex(0.5, math.inf), complex(0.2, KERNEL_MAX_IM + 0.5)):
+            for kernel in (kernel_case1, kernel_case2):
+                with pytest.raises(PreconditionError):
+                    kernel(s, FAST)
+
+
+def mpmath_kernel(case: int, s: complex) -> complex:
+    """(1/2) B(...) A(p) at 30 digits, A(p) = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)."""
+    with mpmath.workdps(30):
+        s = mpmath.mpc(s.real, s.imag)
+        if case == 1:
+            beta, p = mpmath.beta((1 - s) / 2, (3 * s + 1) / 2), 1 + s
+        else:
+            beta, p = mpmath.beta(1 - s / 2, (3 * s + 2) / 2), 2 + s
+        angular = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma((p + 1) / 2) / mpmath.gamma(p / 2 + 1)
+        return complex(beta * angular / 2)
+
+
+# Near a strip edge the radial integrand is nearly non-integrable at one end.
+# 0.1-2i, -0.3 and -0.6 are the benchmark's fixed kernel points; 0.15+0.5i,
+# 0.75, 1.25 and 1.2-i are seeded points it leaves out for cost.
+MPMATH_POINTS = [
+    (1, 0.1 - 2j), (1, -0.3), (1, -0.33), (1, 0.99), (1, 0.15 + 0.5j),
+    (2, -0.6), (2, -0.66), (2, 1.99), (2, 0.75), (2, 1.25), (2, 1.2 - 1j),
+]
+
+
+@pytest.mark.parametrize("case, s", MPMATH_POINTS, ids=[f"case{c}-{s}" for c, s in MPMATH_POINTS])
+def test_numeric_side_against_mpmath(case, s):
+    kernel = kernel_case1 if case == 1 else kernel_case2
+    numeric, _ = kernel(complex(s), KERNEL_CONFIG)
+    want = mpmath_kernel(case, complex(s))
+    assert abs(numeric - want) / abs(want) < 1e-6
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_separable_product_is_the_nested_integral(case):
+    # Fubini: integrate the displayed two-variable integrand
+    # (1+r^2)^-(case+s) r^-(1+s) |sin t|^(case+s) r^case with a full radial
+    # integral at every angular node, and compare with the separable product.
+    s = 0.2 + 0.3j
+    power = case + s
+
+    def outer(thetas):
+        out = np.zeros_like(thetas, dtype=complex)
+        for i, theta in enumerate(thetas):
+            angular = abs(math.sin(theta)) ** power
+
+            def radial(r, angular=angular):
+                return angular * np.exp(-power * np.log1p(r * r) + (case - 1 - s) * np.log(r))
+
+            out[i] = radial_improper_quad(radial, KERNEL_CONFIG)
+        return out
+
+    nested = adaptive_quad(outer, 0.0, math.pi, KERNEL_CONFIG) + adaptive_quad(
+        outer, math.pi, 2.0 * math.pi, KERNEL_CONFIG
+    )
+    kernel = kernel_case1 if case == 1 else kernel_case2
+    numeric = kernel(s, KERNEL_CONFIG).numeric
+    assert abs(nested - numeric) / abs(numeric) < 1e-8
 
 
 class TestStripDomain:
