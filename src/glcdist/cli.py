@@ -12,7 +12,9 @@ Subcommands:
     selftest       run the acceptance suite
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation, 3 numeric
-failure.  All machine output is JSON; the default rendering is plain text.
+failure (verify-kernel also exits 3, after its report, when a row's relative
+error exceeds KERNEL_MAX_REL_ERR).  All machine output is JSON; the default
+rendering is plain text.
 
 Input files: {"type": "langlands", "characters": [{"m": 1, "s": {"re":
 "1/2", "im": "0"}}, ...]} or {"type": "unitary", "blocks": [{"kind":
@@ -45,7 +47,7 @@ from .distinction import (
 from .errors import InputError, PreconditionError, QuadratureError
 from .exactnum import GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
-from .kernelnum import KERNEL_CASES, kernel_row
+from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
 from .ktypes import (
     NotDistinguishedError,
     distinguished_minimal_ktype,
@@ -339,6 +341,15 @@ def cmd_verify_kernel(args) -> int:
         args,
         lines,
     )
+    failing = [row for row in rows if not row.rel_err <= KERNEL_MAX_REL_ERR]  # NaN fails too
+    if failing:
+        worst = max(failing, key=lambda row: row.rel_err)
+        print(
+            f"numeric failure: {worst.case} s={worst.s}: rel err {worst.rel_err:.2e} "
+            f"exceeds {KERNEL_MAX_REL_ERR:g}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 from .params import (
     CharBlock,
     CharacterCx,
-    CompSeriesBlock,
     LanglandsParameter,
     UnitaryRep,
     block_characters,
@@ -97,7 +96,7 @@ def check_condition_i(
             continue
         done.add(c)
         idxs = positions[c]
-        if c.s.is_zero():
+        if c.s_is_zero:
             if c.m % 2 == 0:
                 fixed.extend(idxs)
             else:
@@ -125,11 +124,13 @@ def check_condition_ii(
     p: LanglandsParameter,
 ) -> Tuple[bool, Tuple[CharacterCx, ...]]:
     """Even multiplicity for every kappa_{m,s} with m odd and 2s in Z."""
-    failing = []
-    for c, count in p.counts().items():
-        if c.is_half_integral_odd() and count % 2 == 1:
-            failing.append(c)
-    failing.sort(key=CharacterCx.sort_key)
+    counts: dict = {}
+    for c in p.chars:
+        if c.half_integral_odd:
+            counts[c] = counts.get(c, 0) + 1
+    failing = sorted(
+        (c for c, count in counts.items() if count % 2), key=CharacterCx.sort_key
+    )
     return not failing, tuple(failing)
 
 
@@ -168,26 +169,17 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     block violating (ii) into its constituent characters (one copy each).
     """
     counts = _block_counts(rep)
-    cond_ia = True
-    cond_ib = True
+    cond_i = True
     cond_ii = True
     failing: list = []
     for b, c in counts.items():
-        if isinstance(b, CharBlock):
-            if not b.u.is_zero():
-                mirror = CharBlock(b.n, b.k, -b.u)
-                if counts.get(mirror, 0) != c:
-                    cond_ia = False
-            elif b.k % 2 == 1 and c % 2 == 1:
-                cond_ii = False
-                failing.extend(block_characters(b))
-        else:
-            if not b.u.is_zero():
-                mirror = CompSeriesBlock(b.m, b.k, -b.u, b.t)
-                if counts.get(mirror, 0) != c:
-                    cond_ib = False
+        if not b.u_is_zero:
+            if counts.get(b.mirror(), 0) != c:
+                cond_i = False
+        elif isinstance(b, CharBlock) and b.k % 2 == 1 and c % 2 == 1:
+            cond_ii = False
+            failing.extend(block_characters(b))
     failing.sort(key=CharacterCx.sort_key)
-    cond_i = cond_ia and cond_ib
     return DistinctionVerdict(
         cond_i and cond_ii, cond_i, cond_ii, None, tuple(failing)
     )
@@ -202,6 +194,6 @@ def has_exceptional_factor(rep: UnitaryRep) -> bool:
     statement.
     """
     return any(
-        isinstance(b, CharBlock) and b.n >= 2 and b.k % 2 == 1 and b.u.is_zero()
+        isinstance(b, CharBlock) and b.n >= 2 and b.k % 2 == 1 and b.u_is_zero
         for b in rep.blocks
     )

@@ -71,12 +71,8 @@ def _scan_tables(blocks: Sequence) -> dict:
     ii_block = []
     for b in blocks:
         size.append(b.size)
-        if isinstance(b, CharBlock):
-            partner.append(index[CharBlock(b.n, b.k, -b.u)])
-            ii_block.append(1 if b.u.is_zero() and b.k % 2 == 1 else 0)
-        else:
-            partner.append(index[CompSeriesBlock(b.m, b.k, -b.u, b.t)])
-            ii_block.append(0)
+        partner.append(index[b.mirror()])
+        ii_block.append(1 if isinstance(b, CharBlock) and b.u_is_zero and b.k % 2 == 1 else 0)
 
     char_ids: dict = {}
     block_chars = []
@@ -91,7 +87,7 @@ def _scan_tables(blocks: Sequence) -> dict:
     selfpair_odd = [
         1 if pid[i] == i and chars[i].m % 2 == 1 else 0 for i in range(len(chars))
     ]
-    ii_char = [1 if c.is_half_integral_odd() else 0 for c in chars]
+    ii_char = [1 if c.half_integral_odd else 0 for c in chars]
     return {
         "size": size,
         "partner": partner,
@@ -268,19 +264,43 @@ def run_equivalence_scan(budget: int = 8) -> ScanResult:
     return scan_tables(blocks, _scan_tables(blocks), budget)
 
 
+def _sized_reps(blocks: Sequence, budget: int):
+    """Yield (multiset, total size) for every nonempty block multiset with
+    total size <= budget: depth first, each multiset a nondecreasing run of
+    positions in ``blocks``, extended before its successors are tried."""
+    sizes = [b.size for b in blocks]
+    count = len(blocks)
+    # fits[rem][t]: the first position >= t whose block fits in rem.
+    fits = []
+    for rem in range(budget + 1):
+        row = [count] * (count + 1)
+        for t in range(count - 1, -1, -1):
+            row[t] = t if sizes[t] <= rem else row[t + 1]
+        fits.append(row)
+    acc: list = []
+    positions: list = []
+    total = 0
+    t = fits[budget][0]
+    while True:
+        if t < count:
+            acc.append(blocks[t])
+            positions.append(t)
+            total += sizes[t]
+            yield tuple(acc), total
+            t = fits[budget - total][t]
+        elif positions:
+            t = positions.pop()
+            acc.pop()
+            total -= sizes[t]
+            t = fits[budget - total][t + 1]
+        else:
+            return
+
+
 def enumerate_reps(blocks: Sequence, budget: int):
     """Yield every nonempty block multiset with total size <= budget."""
-
-    def rec(start: int, rem: int, acc: list):
-        for t in range(start, len(blocks)):
-            b = blocks[t]
-            if b.size <= rem:
-                acc.append(b)
-                yield tuple(acc)
-                yield from rec(t, rem - b.size, acc)
-                acc.pop()
-
-    yield from rec(0, budget, [])
+    for combo, _ in _sized_reps(blocks, budget):
+        yield combo
 
 
 def direct_verdicts(rep: UnitaryRep) -> Tuple[bool, bool]:
@@ -297,20 +317,21 @@ def direct_exhaustive_check(budget: int) -> Tuple[int, np.ndarray, np.ndarray]:
     Returns (number of disagreements, nodes per size, distinguished per
     size); the counts must reconcile with the component scan.
     """
-    blocks = acceptance_block_grid()
-    nodes = np.zeros(budget + 1, dtype=np.int64)
-    dist = np.zeros(budget + 1, dtype=np.int64)
+    nodes = [0] * (budget + 1)
+    dist = [0] * (budget + 1)
     disagreements = 0
-    for combo in enumerate_reps(blocks, budget):
-        rep = UnitaryRep(combo)
-        n = rep.n
+    for combo, n in _sized_reps(acceptance_block_grid(), budget):
         nodes[n] += 1
-        via_param, via_blocks = direct_verdicts(rep)
+        via_param, via_blocks = direct_verdicts(UnitaryRep(combo))
         if via_param != via_blocks:
             disagreements += 1
         if via_param:
             dist[n] += 1
-    return disagreements, nodes, dist
+    return (
+        disagreements,
+        np.asarray(nodes, dtype=np.int64),
+        np.asarray(dist, dtype=np.int64),
+    )
 
 
 def random_reps(rng, total: int, count: int) -> List[UnitaryRep]:

@@ -69,6 +69,14 @@ class GaussianRational:
         object.__setattr__(self, "re", re if isinstance(re, Fraction) else read_rational(re))
         object.__setattr__(self, "im", im if isinstance(im, Fraction) else read_rational(im))
 
+    def __hash__(self) -> int:
+        # hash((re, im)), computed on first use: most values are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.re, self.im)))
+            return self._hash
+
     # -- field operations -------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -130,7 +138,7 @@ class GaussianRational:
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re.numerator or self.im.numerator)
 
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1

@@ -26,8 +26,10 @@ where the substitution forces a second-order one).  Reports expose the
 ratio numeric/displayed; the expected elementary values are 2^-(1+s) for
 case 1 and 2^-(1+s)/(s+1) for case 2.  The discrepancy is flagged, never
 silently corrected, and does not affect holomorphy or non-vanishing.
-``kernel_row`` computes one such report row in ``KERNEL_CONFIG``; the
-``verify-kernel`` command and the self-test's kernel criterion both use it.
+``kernel_row`` computes one such report row in ``KERNEL_CONFIG``, with one
+angular moment shared by the check and the displayed form; the
+``verify-kernel`` command and the self-test's kernel criterion both use it,
+and both fail a row whose relative error exceeds KERNEL_MAX_REL_ERR.
 
 Determinism: intervals are split worst-error-first with ties broken by the
 left endpoint, and the final reduction sums contributions in left-endpoint
@@ -290,6 +292,24 @@ def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
     return radial_improper_quad(integrand, cfg)
 
 
+def _case1(s: complex, cfg: QuadratureConfig) -> Tuple[KernelCheck, complex]:
+    """Case 1's check at s, and the angular moment A(1+s) it shares."""
+    s = _check_strip(s, CASE1_STRIP[0], CASE1_STRIP[1], "case 1")
+    angular = angular_moment(1.0 + s, cfg)
+    numeric = _radial_moment(1.0 + s, -s, cfg) * angular
+    reference = 0.5 * beta_fn((1.0 - s) / 2.0, (3.0 * s + 1.0) / 2.0) * angular
+    return KernelCheck(numeric, reference), angular
+
+
+def _case2(s: complex, cfg: QuadratureConfig) -> Tuple[KernelCheck, complex]:
+    """Case 2's check at s, and the angular moment A(2+s) it shares."""
+    s = _check_strip(s, CASE2_STRIP[0], CASE2_STRIP[1], "case 2")
+    angular = angular_moment(2.0 + s, cfg)
+    numeric = _radial_moment(2.0 + s, 1.0 - s, cfg) * angular
+    reference = 0.5 * beta_fn(1.0 - s / 2.0, (3.0 * s + 2.0) / 2.0) * angular
+    return KernelCheck(numeric, reference), angular
+
+
 def kernel_case1(
     s: complex, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> KernelCheck:
@@ -299,11 +319,7 @@ def kernel_case1(
     reference = (1/2) B((1-s)/2, (3s+1)/2) * A(1+s), the Beta substitution
     u = r^2 applied to the radial factor.
     """
-    s = _check_strip(s, CASE1_STRIP[0], CASE1_STRIP[1], "case 1")
-    angular = angular_moment(1.0 + s, cfg)
-    numeric = _radial_moment(1.0 + s, -s, cfg) * angular
-    reference = 0.5 * beta_fn((1.0 - s) / 2.0, (3.0 * s + 1.0) / 2.0) * angular
-    return KernelCheck(numeric, reference)
+    return _case1(s, cfg)[0]
 
 
 def kernel_case2(
@@ -315,11 +331,25 @@ def kernel_case2(
     reference = (1/2) B(1-s/2, (3s+2)/2) * A(2+s); the substitution forces
     the second-order denominator in the Beta factor.
     """
-    s = _check_strip(s, CASE2_STRIP[0], CASE2_STRIP[1], "case 2")
-    angular = angular_moment(2.0 + s, cfg)
-    numeric = _radial_moment(2.0 + s, 1.0 - s, cfg) * angular
-    reference = 0.5 * beta_fn(1.0 - s / 2.0, (3.0 * s + 2.0) / 2.0) * angular
-    return KernelCheck(numeric, reference)
+    return _case2(s, cfg)[0]
+
+
+def _case1_displayed_gammas(s: complex) -> complex:
+    return (
+        2.0 ** s
+        * complex_gamma((1.0 - s) / 2.0)
+        * complex_gamma((3.0 * s + 1.0) / 2.0)
+        / complex_gamma(s + 1.0)
+    )
+
+
+def _case2_displayed_gammas(s: complex) -> complex:
+    return (
+        2.0 ** s
+        * complex_gamma((2.0 - s) / 2.0)
+        * complex_gamma((3.0 * s + 2.0) / 2.0)
+        / complex_gamma(s + 1.0)
+    )
 
 
 def case1_displayed_form(
@@ -329,13 +359,7 @@ def case1_displayed_form(
     2^s Gamma((1-s)/2) Gamma((3s+1)/2) / Gamma(s+1) * A(1+s).
     numeric/displayed = 2^-(1+s)."""
     s = complex(s)
-    return (
-        2.0 ** s
-        * complex_gamma((1.0 - s) / 2.0)
-        * complex_gamma((3.0 * s + 1.0) / 2.0)
-        / complex_gamma(s + 1.0)
-        * angular_moment(1.0 + s, cfg)
-    )
+    return _case1_displayed_gammas(s) * angular_moment(1.0 + s, cfg)
 
 
 def case2_displayed_form(
@@ -346,13 +370,7 @@ def case2_displayed_form(
     Gamma((3s+2)/2)/Gamma(s+1) * A(2+s).
     numeric/displayed = 2^-(1+s) / (s+1)."""
     s = complex(s)
-    return (
-        2.0 ** s
-        * complex_gamma((2.0 - s) / 2.0)
-        * complex_gamma((3.0 * s + 2.0) / 2.0)
-        / complex_gamma(s + 1.0)
-        * angular_moment(2.0 + s, cfg)
-    )
+    return _case2_displayed_gammas(s) * angular_moment(2.0 + s, cfg)
 
 
 def _pair(z: complex) -> list:
@@ -382,20 +400,25 @@ class KernelRow(NamedTuple):
         }
 
 
-# The kernel cases by name, each with its displayed closed form.
+# The kernel cases by name: each check with its angular moment, and the
+# Gamma factors of its displayed closed form.
 KERNEL_CASES = {
-    "case1": (kernel_case1, case1_displayed_form),
-    "case2": (kernel_case2, case2_displayed_form),
+    "case1": (_case1, _case1_displayed_gammas),
+    "case2": (_case2, _case2_displayed_gammas),
 }
+
+# The largest relative error between a kernel check's numeric side and its
+# reference that the kernel criterion and verify-kernel accept.
+KERNEL_MAX_REL_ERR = 1e-6
 
 
 def kernel_row(s: complex, case: str) -> KernelRow:
     """Case "case1" or "case2" at s in KERNEL_CONFIG: the numeric integral,
     the Beta-substitution reference and their relative error, and the ratio
     numeric/displayed with its expected value 2^-(1+s), divided by (s+1) in
-    case 2."""
-    kernel, displayed = KERNEL_CASES[case]
-    numeric, reference = kernel(s, KERNEL_CONFIG)
+    case 2.  The displayed form reuses the check's angular moment."""
+    check, displayed_gammas = KERNEL_CASES[case]
+    (numeric, reference), angular = check(s, KERNEL_CONFIG)
     expected = 2.0 ** (-(1.0 + s))
     if case == "case2":
         expected = expected / (s + 1.0)
@@ -405,6 +428,6 @@ def kernel_row(s: complex, case: str) -> KernelRow:
         numeric,
         reference,
         abs(numeric - reference) / abs(reference),
-        numeric / displayed(s, KERNEL_CONFIG),
+        numeric / (displayed_gammas(complex(s)) * angular),
         expected,
     )

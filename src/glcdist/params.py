@@ -21,6 +21,14 @@ series block splits into the two constituent character blocks with outer
 twists u+t and u-t before expanding.  ``expand_block`` is that one rule,
 for monomial blocks (see derivatives) too.  The ``parse`` methods raise
 InputError on malformed JSON, and PreconditionError past MAX_RANK.
+
+Characters and blocks are immutable, so each computes its derived values
+once, and ``distinction`` reads them instead of re-deriving them per call.
+At construction: the hash (the dataclass's field-tuple hash), the sort key,
+the flag ``s_is_zero`` or ``u_is_zero``, and for a character the (ii) flag
+``half_integral_odd`` (m odd, s real, 2s an integer).  On first use, and
+then kept: a character's partner ``conj_inverse()`` and a block's u -> -u
+``mirror()``.
 """
 
 from __future__ import annotations
@@ -66,10 +74,15 @@ class CharacterCx:
     def __post_init__(self):
         if not isinstance(self.m, int):
             raise TypeError("twist exponent m must be an integer")
-        # Cache hash and normal-form sort key; classification scans hash and
-        # compare characters heavily.
-        object.__setattr__(self, "_hash", hash((self.m, self.s.re, self.s.im)))
-        object.__setattr__(self, "_key", (self.m, -self.s.re, -self.s.im))
+        s = self.s
+        object.__setattr__(self, "_hash", hash((self.m, s.re, s.im)))
+        object.__setattr__(self, "_key", (self.m, -s.re, -s.im))
+        object.__setattr__(self, "s_is_zero", s.is_zero())
+        object.__setattr__(
+            self,
+            "half_integral_odd",
+            self.m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2,
+        )
 
     def __hash__(self):
         return self._hash
@@ -78,20 +91,21 @@ class CharacterCx:
         return self._key
 
     def conj_inverse(self) -> "CharacterCx":
-        """The inverse of the conjugate character: kappa_{m,-s}.
+        """The inverse of the conjugate character: kappa_{m,-s}, built on
+        first use and kept.
 
         Precomposing with conjugation sends kappa_{m,s} to kappa_{-m,s},
         and inverting that gives kappa_{m,-s}.
         """
-        return CharacterCx(self.m, -self.s)
+        try:
+            return self._partner
+        except AttributeError:
+            partner = self if self.s_is_zero else CharacterCx(self.m, -self.s)
+            object.__setattr__(self, "_partner", partner)
+            return partner
 
     def __mul__(self, other: "CharacterCx") -> "CharacterCx":
         return CharacterCx(self.m + other.m, self.s + other.s)
-
-    def is_half_integral_odd(self) -> bool:
-        """m odd, s real with 2s an integer (the even-multiplicity clause)."""
-        two_s = self.s + self.s
-        return self.m % 2 == 1 and two_s.is_integer()
 
     def to_json(self) -> dict:
         return {"m": self.m, "s": self.s.to_json()}
@@ -134,12 +148,6 @@ class LanglandsParameter:
     def __repr__(self):
         return "LanglandsParameter({%s})" % ", ".join(str(c) for c in self.chars)
 
-    def counts(self) -> dict:
-        out: dict = {}
-        for c in self.chars:
-            out[c] = out.get(c, 0) + 1
-        return out
-
     def to_json(self) -> dict:
         return {
             "type": "langlands",
@@ -157,6 +165,11 @@ class LanglandsParameter:
 # -- unitary building blocks ----------------------------------------------
 
 
+# The last entry of a character block's sort key, where a complementary
+# series block has t.
+_NO_T = Fraction(0)
+
+
 @dataclass(frozen=True)
 class CharBlock:
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
@@ -170,6 +183,21 @@ class CharBlock:
             raise InputError("block size must be positive")
         if self.u.re != 0:
             raise InputError("character block twist u must be purely imaginary")
+        object.__setattr__(self, "_hash", hash((self.n, self.k, self.u)))
+        object.__setattr__(self, "_key", (0, self.n, self.k, self.u.im, _NO_T))
+        object.__setattr__(self, "u_is_zero", self.u.is_zero())
+
+    def __hash__(self):
+        return self._hash
+
+    def mirror(self) -> "CharBlock":
+        """The u -> -u block, built on first use and kept."""
+        try:
+            return self._mirror
+        except AttributeError:
+            mirror = self if self.u_is_zero else CharBlock(self.n, self.k, -self.u)
+            object.__setattr__(self, "_mirror", mirror)
+            return mirror
 
     @property
     def size(self) -> int:
@@ -195,6 +223,21 @@ class CompSeriesBlock:
             raise InputError("complementary twist u must be purely imaginary")
         if not (0 < self.t < 1):
             raise InputError("complementary parameter requires 0 < t < 1 strictly")
+        object.__setattr__(self, "_hash", hash((self.m, self.k, self.u, self.t)))
+        object.__setattr__(self, "_key", (1, self.m, self.k, self.u.im, self.t))
+        object.__setattr__(self, "u_is_zero", self.u.is_zero())
+
+    def __hash__(self):
+        return self._hash
+
+    def mirror(self) -> "CompSeriesBlock":
+        """The u -> -u block, built on first use and kept."""
+        try:
+            return self._mirror
+        except AttributeError:
+            mirror = self if self.u_is_zero else CompSeriesBlock(self.m, self.k, -self.u, self.t)
+            object.__setattr__(self, "_mirror", mirror)
+            return mirror
 
     @property
     def size(self) -> int:
@@ -214,9 +257,8 @@ UnitaryBlock = Union[CharBlock, CompSeriesBlock]
 
 
 def _block_sort_key(b: UnitaryBlock):
-    if isinstance(b, CharBlock):
-        return (0, b.n, b.k, b.u.im, Fraction(0))
-    return (1, b.m, b.k, b.u.im, b.t)
+    """(kind, n or m, k, Im u, t), with kind 0 for a character block."""
+    return b._key
 
 
 class UnitaryRep:

@@ -38,7 +38,7 @@ from .equivalence_scan import (
 from .exactnum import GQ_ONE, GaussianRational
 from .factors import AdditiveCharacterSpec, eps_pair, eps_rep
 from .kernelnum import KERNEL_CONFIG  # noqa: F401  re-exported for perfbench/kernel_verify.py
-from .kernelnum import KERNEL_CASES, beta_P, complex_gamma, kernel_row
+from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, beta_P, complex_gamma, kernel_row
 from .ktypes import (
     distinguished_minimal_ktype,
     lowest_ktype,
@@ -335,7 +335,7 @@ def criterion_8_kernel_oracle() -> Tuple[bool, str]:
         for case in KERNEL_CASES:
             row = kernel_row(s, case)
             worst = max(worst, row.rel_err)
-            if row.rel_err > 1e-6:
+            if not row.rel_err <= KERNEL_MAX_REL_ERR:
                 return False, f"kernel_{case} at s={s}: rel err {row.rel_err:.2e}"
             if case == "case1" and abs(row.normalization_ratio - row.expected_ratio) > 1e-6:
                 return False, (

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
-from glcdist.kernelnum import KERNEL_CASES, kernel_row
+from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
 
 
 def fixture_path(name: str) -> str:
@@ -177,6 +177,25 @@ class TestVerifyKernel:
         assert code == 0
         rows = [kernel_row(0.2 + 0j, case).to_json() for case in KERNEL_CASES]
         assert report["results"]["table"] == rows
+
+    def test_rel_err_past_bound_exits_numeric(self, capsys):
+        # At 0.2+30i both cases miss the bound by about nine orders: the
+        # report is still emitted, and stderr names the worst row.
+        code = main(["verify-kernel", "--samples=0.2+30j", "--json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        table = json.loads(captured.out)["results"]["table"]
+        worst = max(table, key=lambda row: row["rel_err"])
+        assert worst["rel_err"] > KERNEL_MAX_REL_ERR
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and worst["case"] in err[0] and "(0.2+30j)" in err[0]
+
+    def test_rel_err_within_bound_exits_ok(self, capsys):
+        code = main(["verify-kernel", "--samples=0.2+2j", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        for row in json.loads(captured.out)["results"]["table"]:
+            assert row["rel_err"] <= KERNEL_MAX_REL_ERR
 
     def test_strip_violation_exit_code(self, capsys):
         code = main(["verify-kernel", "--samples", "5"])

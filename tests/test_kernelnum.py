@@ -6,10 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from glcdist import kernelnum
 from glcdist.errors import PreconditionError, QuadratureError
 from glcdist.kernelnum import (
     CASE1_STRIP,
     CASE2_STRIP,
+    KERNEL_CASES,
     KERNEL_CONFIG,
     KERNEL_MAX_IM,
     QuadratureConfig,
@@ -21,6 +23,7 @@ from glcdist.kernelnum import (
     complex_gamma,
     kernel_case1,
     kernel_case2,
+    kernel_row,
     radial_improper_quad,
 )
 
@@ -150,6 +153,25 @@ class TestKernelCases:
             numeric, _ = kernel_case2(s, FAST)
             ratio = numeric / case2_displayed_form(s, FAST)
             assert abs(ratio - 2.0 ** (-(1 + s)) / (s + 1)) < 1e-6
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_row_integrates_one_angular_moment(self, case, monkeypatch):
+        # The row's displayed form reuses the check's angular moment, and its
+        # ratio equals the one computed through the public displayed form.
+        calls = []
+
+        def counted(p, cfg):
+            calls.append(p)
+            return angular_moment(p, cfg)
+
+        monkeypatch.setattr(kernelnum, "angular_moment", counted)
+        row = kernel_row(0.2 + 0.3j, case)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        kernel = kernel_case1 if case == "case1" else kernel_case2
+        displayed = case1_displayed_form if case == "case1" else case2_displayed_form
+        numeric, _ = kernel(0.2 + 0.3j, KERNEL_CONFIG)
+        assert row.normalization_ratio == numeric / displayed(0.2 + 0.3j, KERNEL_CONFIG)
 
     def test_case2_reference_finite_nonzero_on_probe(self):
         for s in (0.0, 0.25, 0.5):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from glcdist.equivalence_scan import acceptance_block_grid
 from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
 from glcdist.params import (
@@ -13,6 +14,8 @@ from glcdist.params import (
     CompSeriesBlock,
     LanglandsParameter,
     UnitaryRep,
+    _block_sort_key,
+    block_characters,
     parse_parameter_file,
     to_langlands,
 )
@@ -35,6 +38,79 @@ characters = st.builds(
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
     ),
 )
+
+
+imaginary = st.builds(
+    GaussianRational, st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+char_blocks = st.builds(CharBlock, st.integers(1, 4), st.integers(-2, 2), imaginary)
+comp_blocks = st.builds(
+    CompSeriesBlock,
+    st.integers(1, 2),
+    st.integers(-2, 2),
+    imaginary,
+    st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8),
+)
+
+GRID_BLOCKS = acceptance_block_grid()
+GRID_CHARACTERS = sorted({c for b in GRID_BLOCKS for c in block_characters(b)}, key=CharacterCx.sort_key)
+
+
+def fresh(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(Fraction(z.re.numerator, z.re.denominator), Fraction(z.im.numerator, z.im.denominator))
+
+
+def check_character_cache(c: CharacterCx) -> None:
+    """Each value a character keeps equals its recomputation from the fields."""
+    again = CharacterCx(c.m, fresh(c.s))
+    assert hash(c) == hash(again) == hash((c.m, c.s.re, c.s.im))
+    assert hash(c.s) == hash(fresh(c.s)) == hash((c.s.re, c.s.im))
+    assert c.sort_key() == (c.m, -c.s.re, -c.s.im)
+    assert c.s_is_zero == (c.s == GaussianRational(0))
+    assert c.half_integral_odd == (c.m % 2 == 1 and (c.s + c.s).is_integer())
+    assert c.conj_inverse() == CharacterCx(c.m, -c.s)
+    assert c.conj_inverse() is c.conj_inverse()
+    assert c.conj_inverse().conj_inverse() == c
+
+
+def check_block_cache(b) -> None:
+    """Each value a block keeps equals its recomputation from the fields."""
+    if isinstance(b, CharBlock):
+        again = CharBlock(b.n, b.k, fresh(b.u))
+        fields = (b.n, b.k, b.u)
+        old_key = (0, b.n, b.k, b.u.im, Fraction(0))
+        mirror = CharBlock(b.n, b.k, -b.u)
+    else:
+        again = CompSeriesBlock(b.m, b.k, fresh(b.u), b.t)
+        fields = (b.m, b.k, b.u, b.t)
+        old_key = (1, b.m, b.k, b.u.im, b.t)
+        mirror = CompSeriesBlock(b.m, b.k, -b.u, b.t)
+    assert hash(b) == hash(again) == hash(fields)
+    assert hash(b.u) == hash(fresh(b.u)) == hash((b.u.re, b.u.im))
+    assert _block_sort_key(b) == old_key
+    assert b.u_is_zero == (b.u == GaussianRational(0))
+    assert b.mirror() == mirror and hash(b.mirror()) == hash(mirror)
+    assert b.mirror() is b.mirror()
+    assert b.mirror().mirror() == b
+
+
+class TestCachedValues:
+    def test_grid_characters(self):
+        assert len(GRID_CHARACTERS) > 100
+        for c in GRID_CHARACTERS:
+            check_character_cache(c)
+
+    def test_grid_blocks(self):
+        for b in GRID_BLOCKS:
+            check_block_cache(b)
+
+    @given(characters)
+    def test_drawn_characters(self, c):
+        check_character_cache(c)
+
+    @given(st.one_of(char_blocks, comp_blocks))
+    def test_drawn_blocks(self, b):
+        check_block_cache(b)
 
 
 class TestCharacterOps:
@@ -139,27 +215,7 @@ class TestUnitaryBlocks:
             with pytest.raises(PreconditionError, match="MAX_RANK"):
                 parse_parameter_file(doc)
 
-    @given(
-        st.lists(
-            st.one_of(
-                st.builds(
-                    CharBlock,
-                    st.integers(1, 4),
-                    st.integers(-2, 2),
-                    st.builds(GaussianRational, st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
-                ),
-                st.builds(
-                    CompSeriesBlock,
-                    st.integers(1, 2),
-                    st.integers(-2, 2),
-                    st.builds(GaussianRational, st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
-                    st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8),
-                ),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    @given(st.lists(st.one_of(char_blocks, comp_blocks), min_size=1, max_size=4))
     def test_expansion_size_and_round_trip(self, blocks):
         rep = UnitaryRep(blocks)
         assert to_langlands(rep).n == rep.n
