@@ -423,10 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: constructing the subcommand tree costs more than most commands.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,35 +1,43 @@
 """Complex special functions and quadrature for kernel-integral checks.
 
-Each kernel pairing integrates A(p) (1+r^2)^-a r^c over r > 0 and one
-period of t, where A(p) is the angular moment: the integral over [0, 2pi)
-of |sin t|^p, integrated numerically.  The integrand separates, so the
-numeric side is one angular moment times one radial integral, and the
-closed-form side is the same angular moment times the radial factor
-re-derived through the Beta substitution u = r^2:
+Every integral the kernel checks need is one radial moment
 
-    case 1 radial:  (1/2) B((1-s)/2, (3s+1)/2)     on -1/3 < Re s < 1
-    case 2 radial:  (1/2) B(1-s/2, (3s+2)/2)       on -2/3 < Re s < 2
+    M(a, c) = integral over r > 0 of (1+r^2)^-a r^c
+            = (1/2) B((c+1)/2, a - (c+1)/2)    for Re c > -1, Re(2a - c) > 1,
 
-with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b).  The radial integral over
-(0, inf) is folded onto (0, 1] by r -> 1/r, so it is one finite-interval
-integral with no cutoff and no extrapolation.  Before the fold, each case
-substitutes r = x^q with q = 1/min(Re c + 1, Re(2a - c) - 1), which makes
-the power of x at 0 non-negative in both halves of the fold, in the style of
-beta_P's u^2 substitution; the integrand is evaluated in log space, so no
-value overflows.  An adaptive integral splits
-into at most MAX_SUBDIVISIONS panels, and a sample s must be finite with
-|Im s| <= KERNEL_MAX_IM.
+with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b) (DLMF 5.12.3), integrated
+numerically by ``_radial_moment``.  It folds (1, inf) onto (0, 1] by
+r -> 1/r, so it is one finite-interval integral with no cutoff and no
+extrapolation, and it first substitutes r = x^q with
+q = 1/min(Re c + 1, Re(2a - c) - 1), which makes the power of x at 0
+non-negative in both halves of the fold; the integrand is evaluated in log
+space, so no value overflows.  Through it:
 
-An "as-displayed" variant of each closed form is kept as well: it omits the
-substitution Jacobian (and, in case 2, keeps a first-order denominator
-where the substitution forces a second-order one).  Reports expose the
-ratio numeric/displayed; the expected elementary values are 2^-(1+s) for
-case 1 and 2^-(1+s)/(s+1) for case 2.  The discrepancy is flagged, never
-silently corrected, and does not affect holomorphy or non-vanishing.
-``kernel_row`` computes one such report row in ``KERNEL_CONFIG``, with one
-angular moment shared by the check and the displayed form; the
-``verify-kernel`` command and the self-test's kernel criterion both use it,
-and both fail a row whose relative error exceeds KERNEL_MAX_REL_ERR.
+- the angular moment A(p), the integral of |sin t|^p over one period, is
+  4 M(p/2 + 1, p): t = arctan r on each quarter period;
+- the interval pairing beta_P's numeric side is
+  2^(a+b) M(a+b, 2a-1) / (Gamma(a)Gamma(b)): x = (1-r^2)/(1+r^2) on
+  [-1, 1], and M's conditions are its domain Re a > 0, Re b > 0;
+- kernel case j in {1, 2} integrates (1+r^2)^-(j+s) r^(j-1-s) |sin t|^(j+s)
+  over r > 0 and one period of t.  The integrand separates, so the numeric
+  side is M(j+s, j-1-s) A(j+s), and M's conditions give the strip
+  -j/3 < Re s < j.  The reference is the same A(j+s) times the closed form
+  (1/2) B((j-s)/2, (j+3s)/2) of the radial factor.
+
+An adaptive integral splits into at most MAX_SUBDIVISIONS panels, and a
+kernel sample s must be finite with |Im s| <= KERNEL_MAX_IM.
+
+An "as-displayed" variant of each kernel closed form is kept as well:
+2^s Gamma((j-s)/2) Gamma((j+3s)/2) / Gamma(s+1) A(j+s), which omits the
+substitution Jacobian (and, in case 2, keeps a first-order denominator where
+the substitution forces a second-order one).  Reports expose the ratio
+numeric/displayed; its expected value is 2^-(1+s), divided by (s+1) once in
+case 2.  The discrepancy is flagged, never silently corrected, and does not
+affect holomorphy or non-vanishing.  ``kernel_row`` computes one such report
+row in ``KERNEL_CONFIG``, with one angular moment shared by the check and the
+displayed form; the ``verify-kernel`` command and the self-test's kernel
+criterion both use it, and both fail a row whose relative error exceeds
+KERNEL_MAX_REL_ERR.
 
 Determinism: intervals are split worst-error-first with ties broken by the
 left endpoint, and the final reduction sums contributions in left-endpoint
@@ -180,23 +188,33 @@ def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     return adaptive_quad(lambda r: f(r) + f(1.0 / r) / (r * r), 0.0, 1.0, cfg)
 
 
+# -- Beta-type integrals ------------------------------------------------------
+
+
+def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
+    """M(a, c), the integral of (1+r^2)^-a r^c over (0, inf), for Re c > -1
+    and Re(2a - c) > 1.  With r = x^q the integrand is
+    q x^(q(c+1) - 1) (1+x^(2q))^-a; after the fold the power of x at 0 is
+    q(c+1) - 1 in one half and q(2a-c-1) - 1 in the other, and the choice
+    of q makes both real parts non-negative."""
+    at_zero, at_inf = c.real + 1.0, (2.0 * a - c).real - 1.0
+    if not (at_zero > 0.0 and at_inf > 0.0):
+        raise PreconditionError(f"M(a, c) needs Re c > -1 and Re(2a - c) > 1; got a = {a}, c = {c}")
+    q = 1.0 / min(at_zero, at_inf)
+    power = q * (c + 1.0) - 1.0
+
+    def integrand(x):
+        log_x = np.log(x)
+        return q * np.exp(power * log_x - a * np.logaddexp(0.0, 2.0 * q * log_x))
+
+    return radial_improper_quad(integrand, cfg)
+
+
 def angular_moment(p: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """A(p): the integral of |sin t|^p over one full period."""
-
-    def integrand(theta):
-        mags = np.abs(np.sin(theta))
-        out = np.zeros_like(theta, dtype=complex)
-        mask = mags > 0
-        out[mask] = np.exp(complex(p) * np.log(mags[mask]))
-        return out
-
-    # Split at pi: |sin| has a kink there.
-    return adaptive_quad(integrand, 0.0, math.pi, cfg) + adaptive_quad(
-        integrand, math.pi, 2.0 * math.pi, cfg
-    )
-
-
-# -- beta-type pairing --------------------------------------------------------
+    """A(p): the integral of |sin t|^p over one full period, for Re p > -1.
+    On each quarter period, t = arctan r turns it into M(p/2 + 1, p)."""
+    p = complex(p)
+    return 4.0 * _radial_moment(p / 2.0 + 1.0, p, cfg)
 
 
 class BetaPair(NamedTuple):
@@ -208,7 +226,8 @@ def beta_P(a: complex, b: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Be
     """The normalized interval pairing and its holomorphic continuation.
 
     numeric: 1/(Gamma(a)Gamma(b)) * integral over [-1,1] of
-    (1-x)^(a-1) (1+x)^(b-1); requires Re a > 0 and Re b > 0.
+    (1-x)^(a-1) (1+x)^(b-1); requires Re a > 0 and Re b > 0.  With
+    x = (1-r^2)/(1+r^2) the integral is 2^(a+b) M(a+b, 2a-1).
     closed: 2^(a+b-1)/Gamma(a+b), valid off the poles.  The two agree on
     the common domain.
     """
@@ -220,28 +239,8 @@ def beta_P(a: complex, b: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Be
             "the defining integral needs Re a > 0 and Re b > 0; "
             "use the closed continuation instead"
         )
-
-    # Split at 0 and substitute x = 1 - u^2 (resp. x = -1 + u^2); the
-    # endpoint singularities (1 -+ x)^(a-1) become integrable powers u^(2a-1)
-    # with nonnegative real part, which bisection resolves without running
-    # into the floating-point edge at the endpoints.
-    def half_integrand(p: complex, q: complex):
-        def f(u):
-            out = np.zeros_like(u, dtype=complex)
-            mask = u > 0
-            um = u[mask]
-            out[mask] = 2.0 * np.exp(
-                (2.0 * p - 1.0) * np.log(um) + (q - 1.0) * np.log(2.0 - um * um)
-            )
-            return out
-
-        return f
-
-    integral = adaptive_quad(half_integrand(a, b), 0.0, 1.0, cfg) + adaptive_quad(
-        half_integrand(b, a), 0.0, 1.0, cfg
-    )
-    numeric = integral / (complex_gamma(a) * complex_gamma(b))
-    return BetaPair(numeric, closed)
+    integral = 2.0 ** (a + b) * _radial_moment(a + b, 2.0 * a - 1.0, cfg)
+    return BetaPair(integral / (complex_gamma(a) * complex_gamma(b)), closed)
 
 
 # -- the two kernel pairings --------------------------------------------------
@@ -252,9 +251,6 @@ class KernelCheck(NamedTuple):
     reference: complex
 
 
-CASE1_STRIP = (-1.0 / 3.0, 1.0)
-CASE2_STRIP = (-2.0 / 3.0, 2.0)
-
 # The largest |Im s| a kernel check accepts.  Measured limits: past
 # |Im s| = 150.8, complex_gamma's reflection overflows in the left part of
 # each strip (Re s < 0 in case 1, Re s < -1/3 in case 2); past about 238 the
@@ -262,51 +258,32 @@ CASE2_STRIP = (-2.0 / 3.0, 2.0)
 KERNEL_MAX_IM = 100.0
 
 
-def _check_strip(s: complex, low: float, high: float, label: str) -> complex:
+def kernel_strip(j: int) -> Tuple[float, float]:
+    """(low, high): case j converges on low < Re s < high, -j/3 < Re s < j."""
+    return -j / 3.0, float(j)
+
+
+def _beta_args(j: int, s: complex) -> Tuple[complex, complex]:
+    """Case j's radial factor M(j+s, j-1-s) is (1/2) B of these."""
+    return (j - s) / 2.0, (j + 3.0 * s) / 2.0
+
+
+def _check(j: int, s: complex, cfg: QuadratureConfig) -> Tuple[KernelCheck, complex]:
+    """Case j's check at s, and the angular moment A(j+s) it shares."""
     s = complex(s)
     if not (cmath.isfinite(s) and abs(s.imag) <= KERNEL_MAX_IM):
         raise PreconditionError(
-            f"{label} requires a finite s with |Im s| <= {KERNEL_MAX_IM:g}; got s = {s}"
+            f"case {j} requires a finite s with |Im s| <= {KERNEL_MAX_IM:g}; got s = {s}"
         )
+    low, high = kernel_strip(j)
     if not (low < s.real < high):
         raise PreconditionError(
-            f"{label} requires {low} < Re s < {high} for radial convergence; "
+            f"case {j} requires {low} < Re s < {high} for radial convergence; "
             f"got Re s = {s.real}"
         )
-    return s
-
-
-def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
-    """The integral of (1+r^2)^-a r^c over (0, inf), for Re c > -1 and
-    Re(2a - c) > 1.  With r = x^q the integrand is
-    q x^(q(c+1) - 1) (1+x^(2q))^-a; after the fold the power of x at 0 is
-    q(c+1) - 1 in one half and q(2a-c-1) - 1 in the other, and the choice
-    of q makes both real parts non-negative."""
-    q = 1.0 / min(c.real + 1.0, (2.0 * a - c).real - 1.0)
-    power = q * (c + 1.0) - 1.0
-
-    def integrand(x):
-        log_x = np.log(x)
-        return q * np.exp(power * log_x - a * np.logaddexp(0.0, 2.0 * q * log_x))
-
-    return radial_improper_quad(integrand, cfg)
-
-
-def _case1(s: complex, cfg: QuadratureConfig) -> Tuple[KernelCheck, complex]:
-    """Case 1's check at s, and the angular moment A(1+s) it shares."""
-    s = _check_strip(s, CASE1_STRIP[0], CASE1_STRIP[1], "case 1")
-    angular = angular_moment(1.0 + s, cfg)
-    numeric = _radial_moment(1.0 + s, -s, cfg) * angular
-    reference = 0.5 * beta_fn((1.0 - s) / 2.0, (3.0 * s + 1.0) / 2.0) * angular
-    return KernelCheck(numeric, reference), angular
-
-
-def _case2(s: complex, cfg: QuadratureConfig) -> Tuple[KernelCheck, complex]:
-    """Case 2's check at s, and the angular moment A(2+s) it shares."""
-    s = _check_strip(s, CASE2_STRIP[0], CASE2_STRIP[1], "case 2")
-    angular = angular_moment(2.0 + s, cfg)
-    numeric = _radial_moment(2.0 + s, 1.0 - s, cfg) * angular
-    reference = 0.5 * beta_fn(1.0 - s / 2.0, (3.0 * s + 2.0) / 2.0) * angular
+    angular = angular_moment(j + s, cfg)
+    numeric = _radial_moment(j + s, j - 1.0 - s, cfg) * angular
+    reference = 0.5 * beta_fn(*_beta_args(j, s)) * angular
     return KernelCheck(numeric, reference), angular
 
 
@@ -319,7 +296,7 @@ def kernel_case1(
     reference = (1/2) B((1-s)/2, (3s+1)/2) * A(1+s), the Beta substitution
     u = r^2 applied to the radial factor.
     """
-    return _case1(s, cfg)[0]
+    return _check(1, s, cfg)[0]
 
 
 def kernel_case2(
@@ -331,25 +308,14 @@ def kernel_case2(
     reference = (1/2) B(1-s/2, (3s+2)/2) * A(2+s); the substitution forces
     the second-order denominator in the Beta factor.
     """
-    return _case2(s, cfg)[0]
+    return _check(2, s, cfg)[0]
 
 
-def _case1_displayed_gammas(s: complex) -> complex:
-    return (
-        2.0 ** s
-        * complex_gamma((1.0 - s) / 2.0)
-        * complex_gamma((3.0 * s + 1.0) / 2.0)
-        / complex_gamma(s + 1.0)
-    )
-
-
-def _case2_displayed_gammas(s: complex) -> complex:
-    return (
-        2.0 ** s
-        * complex_gamma((2.0 - s) / 2.0)
-        * complex_gamma((3.0 * s + 2.0) / 2.0)
-        / complex_gamma(s + 1.0)
-    )
+def _displayed_gammas(j: int, s: complex) -> complex:
+    """2^s Gamma((j-s)/2) Gamma((j+3s)/2) / Gamma(s+1)."""
+    s = complex(s)
+    b1, b2 = _beta_args(j, s)
+    return 2.0 ** s * complex_gamma(b1) * complex_gamma(b2) / complex_gamma(s + 1.0)
 
 
 def case1_displayed_form(
@@ -358,8 +324,7 @@ def case1_displayed_form(
     """The case-1 closed form without the substitution Jacobian:
     2^s Gamma((1-s)/2) Gamma((3s+1)/2) / Gamma(s+1) * A(1+s).
     numeric/displayed = 2^-(1+s)."""
-    s = complex(s)
-    return _case1_displayed_gammas(s) * angular_moment(1.0 + s, cfg)
+    return _displayed_gammas(1, s) * angular_moment(1 + complex(s), cfg)
 
 
 def case2_displayed_form(
@@ -369,8 +334,7 @@ def case2_displayed_form(
     keeping the first-order denominator Gamma(s+1): 2^s Gamma((2-s)/2)
     Gamma((3s+2)/2)/Gamma(s+1) * A(2+s).
     numeric/displayed = 2^-(1+s) / (s+1)."""
-    s = complex(s)
-    return _case2_displayed_gammas(s) * angular_moment(2.0 + s, cfg)
+    return _displayed_gammas(2, s) * angular_moment(2 + complex(s), cfg)
 
 
 def _pair(z: complex) -> list:
@@ -400,12 +364,8 @@ class KernelRow(NamedTuple):
         }
 
 
-# The kernel cases by name: each check with its angular moment, and the
-# Gamma factors of its displayed closed form.
-KERNEL_CASES = {
-    "case1": (_case1, _case1_displayed_gammas),
-    "case2": (_case2, _case2_displayed_gammas),
-}
+# The kernel cases by name, each with its j.
+KERNEL_CASES = {"case1": 1, "case2": 2}
 
 # The largest relative error between a kernel check's numeric side and its
 # reference that the kernel criterion and verify-kernel accept.
@@ -417,10 +377,10 @@ def kernel_row(s: complex, case: str) -> KernelRow:
     the Beta-substitution reference and their relative error, and the ratio
     numeric/displayed with its expected value 2^-(1+s), divided by (s+1) in
     case 2.  The displayed form reuses the check's angular moment."""
-    check, displayed_gammas = KERNEL_CASES[case]
-    (numeric, reference), angular = check(s, KERNEL_CONFIG)
+    j = KERNEL_CASES[case]
+    (numeric, reference), angular = _check(j, s, KERNEL_CONFIG)
     expected = 2.0 ** (-(1.0 + s))
-    if case == "case2":
+    for _ in range(1, j):
         expected = expected / (s + 1.0)
     return KernelRow(
         s,
@@ -428,6 +388,6 @@ def kernel_row(s: complex, case: str) -> KernelRow:
         numeric,
         reference,
         abs(numeric - reference) / abs(reference),
-        numeric / (displayed_gammas(complex(s)) * angular),
+        numeric / (_displayed_gammas(j, s) * angular),
         expected,
     )

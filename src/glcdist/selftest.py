@@ -32,6 +32,7 @@ from .distinction import (
 from .equivalence_scan import (
     direct_exhaustive_check,
     direct_verdicts,
+    enumerate_reps,
     random_reps,
     run_equivalence_scan,
 )
@@ -145,35 +146,18 @@ def criterion_3_derivative_necessity() -> Tuple[bool, str]:
     satisfies the pairing condition, the derivative test fails exactly when
     the even-multiplicity condition fails."""
     zero = GaussianRational(0)
-    types = [
-        (k, size) for size in range(1, 7) for k in range(-2, 3)
-    ]
+    blocks = [MonomialBlock(k, zero, size) for size in range(1, 7) for k in range(-2, 3)]
     checked = 0
-
-    def rec(start: int, rem: int, acc: list):
-        nonlocal checked
-        for idx in range(start, len(types)):
-            k, size = types[idx]
-            if size > rem:
-                continue
-            acc.append(MonomialBlock(k, zero, size))
-            m = MonomialRep(acc)
-            p = m.parameter()
-            if check_condition_i(p)[0]:
-                passes, _ = derivative_necessity_test(m)
-                cond_ii, _ = check_condition_ii(p)
-                if passes != cond_ii:
-                    acc.pop()
-                    return False
-                checked += 1
-            if not rec(idx, rem - size, acc):
-                acc.pop()
-                return False
-            acc.pop()
-        return True
-
-    ok = rec(0, 6, [])
-    return ok, f"{checked} monomials with the pairing condition checked"
+    for combo in enumerate_reps(blocks, 6):
+        m = MonomialRep(combo)
+        p = m.parameter()
+        if check_condition_i(p)[0]:
+            passes, _ = derivative_necessity_test(m)
+            cond_ii, _ = check_condition_ii(p)
+            if passes != cond_ii:
+                return False, f"{checked} monomials with the pairing condition checked"
+            checked += 1
+    return True, f"{checked} monomials with the pairing condition checked"
 
 
 def random_distinguished_parameter(rng: random.Random, max_n: int = 8) -> LanglandsParameter:

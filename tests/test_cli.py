@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -245,6 +246,17 @@ class TestParsing:
         )
         assert code == 0
         assert json.loads(target.read_text())["subcommand"] == "classify"
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        # The parser is built once, at import: main only parses.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ArgumentParser was built inside main")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        code, report = run_json(capsys, "classify", "--input", fixture_path("pair_g2.json"))
+        assert code == 0 and report["subcommand"] == "classify"
+        assert main(["cosets", "--n", "0"]) == 2
+        assert capsys.readouterr().err.startswith("precondition violated")
 
 
 def langlands(m="1", s='{"re":"0","im":"0"}'):

@@ -5,10 +5,12 @@ nothing outside the tests reads.
 No linter ships with the test dependencies, so this is checked from the
 syntax tree.  An import kept on purpose for other modules to read carries
 ``# noqa: F401`` on its line.  The import and private-name checks cover
-``perfbench/*.py`` too.
+``perfbench/*.py`` too, and every name of the package that the benchmark
+loads must resolve.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ import pytest
 import glcdist
 
 MODULES = sorted(Path(glcdist.__file__).parent.glob("*.py"))
-BENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH = sorted(BENCH_DIR.glob("*.py"))
 LINTED = MODULES + BENCH
 LINTED_IDS = [path.name for path in MODULES] + [f"perfbench/{path.name}" for path in BENCH]
 
@@ -176,3 +179,90 @@ def test_every_public_name_has_a_reader():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = [path.read_text(encoding="utf-8") for path in BENCH if path.name != "test_checks.py"]
     assert unread_public_names(sources, readers) == []
+
+
+def glcdist_loads(source: str) -> list:
+    """(module, attribute chain) for every attribute of glcdist that
+    ``source`` loads: chains read off a glcdist module it imports, off
+    ``sys.modules["glcdist.<module>"]``, or names it imports from one."""
+    tree = ast.parse(source)
+    modules = {}
+    loads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names if alias.name == "glcdist"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "glcdist":
+            modules.update({alias.asname or alias.name: f"glcdist.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("glcdist."):
+            loads.update((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        chain = []
+        base = node
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            module = modules[base.id]
+        elif isinstance(base, ast.Subscript) and isinstance(base.slice, ast.Constant):
+            module = str(base.slice.value)
+        else:
+            continue
+        if chain and module.split(".")[0] == "glcdist":
+            loads.add((module, ".".join(chain)))
+    return sorted(loads)
+
+
+def unresolved(loads) -> list:
+    """The (module, attribute chain) pairs that do not resolve, dotted."""
+    missing = []
+    for module, chain in loads:
+        value = importlib.import_module(module)
+        try:
+            for attr in chain.split("."):
+                value = getattr(value, attr)
+        except AttributeError:
+            missing.append(f"{module}.{chain}")
+    return missing
+
+
+def test_detects_a_missing_hook():
+    source = (
+        "import sys\nimport glcdist\nfrom glcdist import kernelnum as kn\nfrom glcdist.cli import gone\n"
+        "kn.angular_moment(1.0)\nkn.no_such_name\nsys.modules['glcdist.params'].block_characters.nope\n"
+        "glcdist.__file__\nother.attr\n"
+    )
+    loads = glcdist_loads(source)
+    assert loads == [
+        ("glcdist", "__file__"),
+        ("glcdist.cli", "gone"),
+        ("glcdist.kernelnum", "angular_moment"),
+        ("glcdist.kernelnum", "no_such_name"),
+        ("glcdist.params", "block_characters"),
+        ("glcdist.params", "block_characters.nope"),
+    ]
+    assert unresolved(loads) == [
+        "glcdist.cli.gone",
+        "glcdist.kernelnum.no_such_name",
+        "glcdist.params.block_characters.nope",
+    ]
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark reaches into glcdist by name: the tracer wraps each of
+    # its SPANS, and the workloads call module attributes.  A rename here
+    # would break ``perfbench/run.py --trace`` or a workload only at run time.
+    tracer = ast.parse((BENCH_DIR / "tracer.py").read_text(encoding="utf-8"))
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "SPANS"
+    ]
+    assert unresolved((f"glcdist.{module}", fn) for module, fn in spans) == []
+    loads = {load for path in BENCH for load in glcdist_loads(path.read_text(encoding="utf-8"))}
+    assert {
+        ("glcdist.kernelnum", "case1_displayed_form"),
+        ("glcdist.selftest", "KERNEL_CONFIG"),
+        ("glcdist.params", "block_characters.cache_info"),
+        ("glcdist.exactnum", "GaussianRational"),
+    } <= loads
+    assert unresolved(sorted(loads)) == []

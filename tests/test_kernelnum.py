@@ -9,8 +9,6 @@ import pytest
 from glcdist import kernelnum
 from glcdist.errors import PreconditionError, QuadratureError
 from glcdist.kernelnum import (
-    CASE1_STRIP,
-    CASE2_STRIP,
     KERNEL_CASES,
     KERNEL_CONFIG,
     KERNEL_MAX_IM,
@@ -24,6 +22,7 @@ from glcdist.kernelnum import (
     kernel_case1,
     kernel_case2,
     kernel_row,
+    kernel_strip,
     radial_improper_quad,
 )
 
@@ -87,8 +86,9 @@ class TestQuadrature:
 
     def test_angular_moment_closed_form(self):
         # A(p) = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1), checked for a
-        # few real and complex exponents.
-        for p in (1.0, 2.0, 0.5, 1.5 + 0.25j):
+        # few real and complex exponents, down to Re p = 0.2 and up to
+        # |Im p| = 5.
+        for p in (1.0, 2.0, 0.5, 1.5 + 0.25j, 0.2, 2.9 - 0.9j, 0.7 + 5j):
             half_period = (
                 math.sqrt(math.pi)
                 * complex(mpmath.gamma((p + 1) / 2))
@@ -96,6 +96,21 @@ class TestQuadrature:
             )
             got = angular_moment(p, FAST)
             assert abs(got - 2.0 * half_period) / abs(2.0 * half_period) < 1e-8
+
+    def test_angular_moment_domain_guard(self):
+        # A(p) diverges for Re p <= -1; the radial moment refuses it rather
+        # than integrate a substitution that no longer maps onto (0, inf).
+        for p in (-1.0, -1.5 + 0.5j, complex(math.nan, 0.0)):
+            with pytest.raises(PreconditionError):
+                angular_moment(p, FAST)
+
+
+# The self-test's special-function grid, and exponents near the edge of the
+# domain Re a > 0, Re b > 0.
+BETA_GRID = [complex(r, i) for r in (0.5, 1.0, 1.5, 3.0) for i in (0.0, 0.5)]
+BETA_POINTS = [(a, b) for a in BETA_GRID for b in BETA_GRID] + [
+    (0.05, 1.0), (1.0, 0.05), (0.05, 0.05), (0.05 + 0.5j, 3.0), (1.5 + 0.5j, 0.05),
+]
 
 
 class TestBetaPairing:
@@ -121,6 +136,15 @@ class TestBetaPairing:
     def test_continuation_pole_guard(self):
         with pytest.raises(PreconditionError):
             beta_P(0.5, -0.5)
+
+    @pytest.mark.parametrize("a, b", BETA_POINTS, ids=[f"{a}-{b}" for a, b in BETA_POINTS])
+    def test_numeric_side_against_mpmath(self, a, b):
+        # The numeric side against the continuation 2^(a+b-1)/Gamma(a+b).
+        with mpmath.workdps(30):
+            total = mpmath.mpc(a) + mpmath.mpc(b)
+            want = complex(2 ** (total - 1) / mpmath.gamma(total))
+        numeric = beta_P(a, b).numeric
+        assert abs(numeric - want) / abs(want) < 1e-8
 
 
 class TestKernelCases:
@@ -252,9 +276,10 @@ class TestStripDomain:
     def test_classification(self):
         # The radial convergence strips, as the kernel cases enforce them:
         # 0.2+0.3i lies in both, 1.5 only in case 2's, -0.9 in neither.
+        (low1, high1), (low2, high2) = kernel_strip(1), kernel_strip(2)
         for s in (0.2 + 0.3j, 1.5, -0.9):
-            assert (CASE1_STRIP[0] < s.real < CASE1_STRIP[1]) == (s == 0.2 + 0.3j)
-            assert (CASE2_STRIP[0] < s.real < CASE2_STRIP[1]) == (s != -0.9)
+            assert (low1 < s.real < high1) == (s == 0.2 + 0.3j)
+            assert (low2 < s.real < high2) == (s != -0.9)
         for s in (1.5, -0.9):
             with pytest.raises(PreconditionError):
                 kernel_case1(s, FAST)
