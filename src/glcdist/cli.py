@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .cosets import (
@@ -108,14 +109,20 @@ def _report(subcommand: str, inputs: dict, results: dict, criteria: list) -> dic
 
 
 def _emit(report: dict, args, text_lines) -> None:
-    payload = json.dumps(report, indent=2)
-    if getattr(args, "output", None):
+    """Print the report as JSON (--json) or as text, and write it to --output.
+
+    The report is encoded only when --json or --output asks for it.
+    """
+    output = getattr(args, "output", None)
+    as_json = getattr(args, "json", False)
+    payload = json.dumps(report, indent=2) if output or as_json else None
+    if output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(output, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc}") from exc
-    if getattr(args, "json", False):
+            raise InputError(f"cannot write {output}: {exc}") from exc
+    if as_json:
         print(payload)
     else:
         for line in text_lines:
@@ -368,6 +375,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# Built on the first call and then kept: constructing the subcommand tree
+# costs more than most commands, and building it at import would slow every
+# import of this module.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="glcdist",
@@ -423,13 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: constructing the subcommand tree costs more than most commands.
-_PARSER = build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ from .params import (
     LanglandsParameter,
     UnitaryRep,
     block_characters,
+    sort_key,
 )
 
 
@@ -83,39 +84,30 @@ def check_condition_i(
     indices of the conjugate-inverse value; kappa_{m,0} with m odd pair
     among themselves, and kappa_{m,0} with m even stay fixed.
     """
-    chars = p.chars
     positions: dict = {}
-    for idx, c in enumerate(chars, start=1):
+    for idx, c in enumerate(p.chars, start=1):
         positions.setdefault(c, []).append(idx)
 
     pairs = []
     fixed = []
-    done = set()
-    for c in chars:
-        if c in done:
-            continue
-        done.add(c)
-        idxs = positions[c]
+    for c, idxs in positions.items():
         if c.s_is_zero:
             if c.m % 2 == 0:
                 fixed.extend(idxs)
+            elif len(idxs) % 2:
+                return False, None
             else:
-                if len(idxs) % 2:
-                    return False, None
                 pairs.extend(
                     (idxs[t], idxs[t + 1]) for t in range(0, len(idxs), 2)
                 )
         else:
-            partner = c.conj_inverse()
-            mates = positions.get(partner)
+            mates = positions.get(c.conj_inverse())
             if mates is None or len(mates) != len(idxs):
                 return False, None
-            if partner in done:
-                continue
-            done.add(partner)
-            pairs.extend(
-                (min(i, j), max(i, j)) for i, j in zip(idxs, mates)
-            )
+            # Equal characters are adjacent in normal form, so the two runs
+            # do not interleave: pair them once, from the earlier run.
+            if idxs[0] < mates[0]:
+                pairs.extend(zip(idxs, mates))
     witness = InvolutionWitness(tuple(sorted(pairs)), tuple(sorted(fixed)))
     return True, witness
 
@@ -128,9 +120,7 @@ def check_condition_ii(
     for c in p.chars:
         if c.half_integral_odd:
             counts[c] = counts.get(c, 0) + 1
-    failing = sorted(
-        (c for c, count in counts.items() if count % 2), key=CharacterCx.sort_key
-    )
+    failing = sorted((c for c, count in counts.items() if count % 2), key=sort_key)
     return not failing, tuple(failing)
 
 
@@ -179,7 +169,7 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
         elif isinstance(b, CharBlock) and b.k % 2 == 1 and c % 2 == 1:
             cond_ii = False
             failing.extend(block_characters(b))
-    failing.sort(key=CharacterCx.sort_key)
+    failing.sort(key=sort_key)
     return DistinctionVerdict(
         cond_i and cond_ii, cond_i, cond_ii, None, tuple(failing)
     )

@@ -24,11 +24,20 @@ InputError on malformed JSON, and PreconditionError past MAX_RANK.
 
 Characters and blocks are immutable, so each computes its derived values
 once, and ``distinction`` reads them instead of re-deriving them per call.
-At construction: the hash (the dataclass's field-tuple hash), the sort key,
-the flag ``s_is_zero`` or ``u_is_zero``, and for a character the (ii) flag
-``half_integral_odd`` (m odd, s real, 2s an integer).  On first use, and
-then kept: a character's partner ``conj_inverse()`` and a block's u -> -u
-``mirror()``.
+At construction: the exact sort ``key``, its hash, the flag ``s_is_zero`` or
+``u_is_zero``, and for a character the (ii) flag ``half_integral_odd`` (m
+odd, s real, 2s an integer).  On first use, and then kept: a character's
+partner ``conj_inverse()`` and a block's u -> -u ``mirror()``.
+
+The ``key`` is a flat tuple that orders exactly as (m, -Re s, -Im s) for a
+character and (kind, n or m, k, Im u, t) for a block, kind 0 for a
+character block and 1 for a complementary series block (a character block
+has no t).  Each rational in it is its continued fraction as ints with
+alternating signs, closed by an infinite float mark (see ``_rational_key``),
+and every int entry is doubled, so none is -1, whose hash CPython shares
+with -2.  The key
+determines every field, so equality is identity or key equality and the hash
+is the key's: sorts, dict lookups and equality call no ``Fraction`` method.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import InputError, PreconditionError
@@ -64,8 +74,52 @@ def read_json(value, kind: type, what: str):
     return value
 
 
-@dataclass(frozen=True)
-class CharacterCx:
+_INF = float("inf")
+
+
+def _rational_key(p: int, q: int) -> list:
+    """The rational p/q (q > 0) as entries that compare exactly as the
+    rationals do: its continued fraction [a0; a1, ..., an] from ``divmod``
+    as 2*a0, -2*a1, 2*a2, ..., closed by +-inf.
+
+    A larger a_j makes the value larger at even j and smaller at odd j,
+    hence the alternating signs.  Euclid's quotients are unique per value,
+    and the mark stands for a_{n+1} = inf, so the entries end where the
+    value does and several rationals concatenate into one key.
+    """
+    out = []
+    sign = 2
+    while q:
+        a, r = divmod(p, q)
+        out.append(sign * a)
+        p, q = q, r
+        sign = -sign
+    out.append(sign * _INF)
+    return out
+
+
+class _Keyed:
+    """Equality and hash by the exact ``key`` set in ``__post_init__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+
+# The normal-form order of characters, and the order of blocks.
+sort_key = attrgetter("key")
+
+
+@dataclass(frozen=True, eq=False)
+class CharacterCx(_Keyed):
     """The character kappa_{m,s} of C^x."""
 
     m: int
@@ -75,20 +129,19 @@ class CharacterCx:
         if not isinstance(self.m, int):
             raise TypeError("twist exponent m must be an integer")
         s = self.s
-        object.__setattr__(self, "_hash", hash((self.m, s.re, s.im)))
-        object.__setattr__(self, "_key", (self.m, -s.re, -s.im))
+        key = (
+            2 * self.m,
+            *_rational_key(-s.re.numerator, s.re.denominator),
+            *_rational_key(-s.im.numerator, s.im.denominator),
+        )
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "s_is_zero", s.is_zero())
         object.__setattr__(
             self,
             "half_integral_odd",
             self.m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2,
         )
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return self._key
 
     def conj_inverse(self) -> "CharacterCx":
         """The inverse of the conjugate character: kappa_{m,-s}, built on
@@ -125,7 +178,7 @@ class LanglandsParameter:
     __slots__ = ("chars",)
 
     def __init__(self, chars: Iterable[CharacterCx]):
-        self.chars = tuple(sorted(chars, key=CharacterCx.sort_key))
+        self.chars = tuple(sorted(chars, key=sort_key))
         if not self.chars:
             raise InputError("a parameter needs at least one character")
 
@@ -165,13 +218,8 @@ class LanglandsParameter:
 # -- unitary building blocks ----------------------------------------------
 
 
-# The last entry of a character block's sort key, where a complementary
-# series block has t.
-_NO_T = Fraction(0)
-
-
-@dataclass(frozen=True)
-class CharBlock:
+@dataclass(frozen=True, eq=False)
+class CharBlock(_Keyed):
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
 
     n: int
@@ -183,12 +231,11 @@ class CharBlock:
             raise InputError("block size must be positive")
         if self.u.re != 0:
             raise InputError("character block twist u must be purely imaginary")
-        object.__setattr__(self, "_hash", hash((self.n, self.k, self.u)))
-        object.__setattr__(self, "_key", (0, self.n, self.k, self.u.im, _NO_T))
+        im = self.u.im
+        key = (0, 2 * self.n, 2 * self.k, *_rational_key(im.numerator, im.denominator))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "u_is_zero", self.u.is_zero())
-
-    def __hash__(self):
-        return self._hash
 
     def mirror(self) -> "CharBlock":
         """The u -> -u block, built on first use and kept."""
@@ -207,8 +254,8 @@ class CharBlock:
         return {"kind": "char", "n": self.n, "k": self.k, "u": self.u.to_json()}
 
 
-@dataclass(frozen=True)
-class CompSeriesBlock:
+@dataclass(frozen=True, eq=False)
+class CompSeriesBlock(_Keyed):
     """Complementary series block on size 2m: twists (k, u), inner +-t, 0<t<1."""
 
     m: int
@@ -223,12 +270,17 @@ class CompSeriesBlock:
             raise InputError("complementary twist u must be purely imaginary")
         if not (0 < self.t < 1):
             raise InputError("complementary parameter requires 0 < t < 1 strictly")
-        object.__setattr__(self, "_hash", hash((self.m, self.k, self.u, self.t)))
-        object.__setattr__(self, "_key", (1, self.m, self.k, self.u.im, self.t))
+        im, t = self.u.im, self.t
+        key = (
+            2,
+            2 * self.m,
+            2 * self.k,
+            *_rational_key(im.numerator, im.denominator),
+            *_rational_key(t.numerator, t.denominator),
+        )
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "u_is_zero", self.u.is_zero())
-
-    def __hash__(self):
-        return self._hash
 
     def mirror(self) -> "CompSeriesBlock":
         """The u -> -u block, built on first use and kept."""
@@ -256,18 +308,13 @@ class CompSeriesBlock:
 UnitaryBlock = Union[CharBlock, CompSeriesBlock]
 
 
-def _block_sort_key(b: UnitaryBlock):
-    """(kind, n or m, k, Im u, t), with kind 0 for a character block."""
-    return b._key
-
-
 class UnitaryRep:
     """A multiset of unitary blocks; total size is the sum of block sizes."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[UnitaryBlock]):
-        self.blocks = tuple(sorted(blocks, key=_block_sort_key))
+        self.blocks = tuple(sorted(blocks, key=sort_key))
         if not self.blocks:
             raise InputError("a unitary representation needs at least one block")
 
@@ -333,7 +380,13 @@ def expand_block(k: int, center: GaussianRational, size: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+# Bound on the blocks whose characters ``block_characters`` keeps: the
+# acceptance grid has 240, and requests with fresh rationals add new blocks
+# that rarely recur, so the least recently used go first.
+BLOCK_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def block_characters(block: UnitaryBlock) -> tuple:
     """The character multiset contributed by one block, as a sorted tuple."""
     if isinstance(block, CharBlock):
@@ -342,7 +395,7 @@ def block_characters(block: UnitaryBlock) -> tuple:
         up = (block.u + block.t) * _HALF
         down = (block.u - block.t) * _HALF
         chars = expand_block(block.k, up, block.m) + expand_block(block.k, down, block.m)
-    return tuple(sorted(chars, key=CharacterCx.sort_key))
+    return tuple(sorted(chars, key=sort_key))
 
 
 def to_langlands(rep: UnitaryRep) -> LanglandsParameter:

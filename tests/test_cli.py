@@ -1,9 +1,14 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
 from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def fixture_path(name: str) -> str:
@@ -248,7 +256,10 @@ class TestParsing:
         assert json.loads(target.read_text())["subcommand"] == "classify"
 
     def test_main_builds_no_parser(self, capsys, monkeypatch):
-        # The parser is built once, at import: main only parses.
+        # The parser is built on the first call and kept: later calls only parse.
+        assert main(["cosets", "--n", "1"]) == 0
+        capsys.readouterr()
+
         def refuse(*args, **kwargs):
             raise AssertionError("an ArgumentParser was built inside main")
 
@@ -257,6 +268,46 @@ class TestParsing:
         assert code == 0 and report["subcommand"] == "classify"
         assert main(["cosets", "--n", "0"]) == 2
         assert capsys.readouterr().err.startswith("precondition violated")
+
+    def test_cli_import_builds_no_parser(self):
+        # A fresh import defines the parser but does not build it.
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import glcdist.cli\n"
+            "assert not built, built\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+    def test_text_mode_encodes_no_json(self, capsys, monkeypatch, tmp_path):
+        # Text output never encodes the report; --json and --output do, once each.
+        calls = []
+        dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        for argv in (
+            ["classify", "--input", fixture_path("sign_cube_g6.json")],
+            ["ktype", "--input", fixture_path("pair_g2.json")],
+            ["derive", "--input", fixture_path("sign_cube_monomial_g6.json")],
+            ["eps", "--input", fixture_path("pair_g2.json")],
+            ["cosets", "--n", "3", "--comp", "1,2"],
+            ["verify-kernel", "--samples", "0.2"],
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out
+        assert calls == []
+        assert main(["cosets", "--n", "3", "--json"]) == 0
+        assert main(["cosets", "--n", "3", "--output", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2
 
 
 def langlands(m="1", s='{"re":"0","im":"0"}'):
@@ -363,3 +414,39 @@ requests = st.one_of(
 @given(requests)
 def test_main_never_raises(argv):
     assert main_quietly(argv) in (0, 1, 2, 3)
+
+
+# SHA-256 of the --json report on stdout, one per command and fixture.  They
+# pin the reports byte for byte: a change to the exact layer must leave them
+# alone.  verify-kernel is left out, since its floats may differ by platform.
+REPORT_DIGESTS = [
+    ("classify --mode generic", "comp_series_k1_half_g4.json", "0cfe4f742bb5053df42e82f977ea21a732d23d84a933d534b8478d331d22b8b5"),
+    ("classify --mode unitary", "comp_series_k1_half_g4.json", "85929d3cfe4edb56c7e64b0478715983fd69ddd02d8fd7b782a43324b3feb85c"),
+    ("ktype", "comp_series_k1_half_g4.json", "078a61c4dc2db1b22ef6ba0a763891b6b6abd881cb5f35556f50989610e88aea"),
+    ("eps --b=0,1", "comp_series_k1_half_g4.json", "6d3d21e4d3cbc530f2efc59c601a4769aa61462a194d4efa8015efcc9149d8b6"),
+    ("classify --mode generic", "g4_mixed.json", "b7a1f969d1fc78a39b6b943785f36233fc307d2d467b828d5deb92f5a2fd8e17"),
+    ("classify --mode unitary", "g4_mixed.json", "3631864313213616c2fd6892e32152f24589786cfee73872da567a14a5ed4f14"),
+    ("ktype", "g4_mixed.json", "6c88c650f77363eb379cd3455708cd0a73db7429ce6bc1f92644cbbc220d9bf9"),
+    ("eps --b=0,1", "g4_mixed.json", "9f3b026f85ed1ca94f1199bc3832c453fbec27068c48f8a9d2c8e963919bec7a"),
+    ("classify --mode generic", "pair_g2.json", "f387457574638b62e1124e2ba4ab8b02eca7c770cf4d28efa2ebc592fe1d0e7a"),
+    ("classify --mode unitary", "pair_g2.json", "cdb273c590c3ed501b852fc15486bc7100fe1ccf88a87b6aaf002c4917f187c5"),
+    ("ktype", "pair_g2.json", "cdb70b72fa425c2a4c64d656be42e632d5743bb803fc5c694925b829b0b73410"),
+    ("eps --b=0,1", "pair_g2.json", "206ab161a9024a566ca5e652bab73082cc990cc1307b25218908e9b48ce39f5d"),
+    ("classify --mode generic", "sign_cube_g6.json", "97748f5ad37580b1b23002eefc6ff48cb9bf3ab19bbab96474018f9392818686"),
+    ("classify --mode unitary", "sign_cube_g6.json", "bc7fa04ebf3665ce6285d67699e3f06bb88b0cf8e46b98e34377ceeca65ebda1"),
+    ("ktype", "sign_cube_g6.json", "6a5af3803590a50c723b5f903a09a3def3d5e05d54d2c89e969a8af89bf8ad24"),
+    ("eps --b=0,1", "sign_cube_g6.json", "7f79389d9933719de5c072302e9372772540eededac9b0f750ca7291ac0ff0bd"),
+    ("classify --mode generic", "sign_square_g4.json", "a5999325fde327726270ea572da28d4ee8dcda3834f9a7f4ae9b9b0dc8a16b7e"),
+    ("classify --mode unitary", "sign_square_g4.json", "901d02ea4a6677716bc2b83bb85775cf5302d7a52b6c1040f19b40eeb0f5bade"),
+    ("ktype", "sign_square_g4.json", "5b40eb241b1c52aa589da9303ba212c3bcc2361b6c643c0f31b9c66da71cd7ce"),
+    ("eps --b=0,1", "sign_square_g4.json", "cee089528872b548138b0c438ea176e4c1fcfb0d3a267c8272bfff2599cfee82"),
+    ("derive", "sign_cube_monomial_g6.json", "ac1882203f6c0fd07d33fbe655c7389410312093d288dc3bf775cdab5d03d8fc"),
+    ("cosets --n 5 --comp 2,3", None, "135b0bafbe9a04b591be8011344c18750d209e9c201be427d53ea5ba9b95de9a"),
+]
+
+
+@pytest.mark.parametrize("command, fixture, digest", REPORT_DIGESTS)
+def test_report_digest(capsys, command, fixture, digest):
+    argv = command.split() + (["--input", fixture_path(fixture)] if fixture else []) + ["--json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

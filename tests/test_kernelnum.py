@@ -55,6 +55,13 @@ class TestGamma:
             theirs = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
             assert abs(mine - theirs) / abs(theirs) < 1e-11
 
+    @pytest.mark.parametrize("z", [0.2 + 300j, -0.5 + 230j, 0.2 - 300j, -3.7 + 50j])
+    def test_reflection_far_from_the_real_axis(self, z):
+        # sin(pi z) alone overflows here, while Gamma(z) is about 1e-205 to 1e-40.
+        with mpmath.workdps(30):
+            theirs = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+        assert abs(complex_gamma(z) - theirs) / abs(theirs) < 1e-10
+
     def test_poles_raise(self):
         for k in (0, -1, -2, -7):
             with pytest.raises(PreconditionError):

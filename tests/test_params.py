@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,16 @@ from glcdist.equivalence_scan import acceptance_block_grid
 from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
 from glcdist.params import (
+    BLOCK_CACHE_SIZE,
     MAX_RANK,
     CharBlock,
     CharacterCx,
     CompSeriesBlock,
     LanglandsParameter,
     UnitaryRep,
-    _block_sort_key,
     block_characters,
     parse_parameter_file,
+    sort_key,
     to_langlands,
 )
 
@@ -52,20 +54,66 @@ comp_blocks = st.builds(
     st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8),
 )
 
+# Rationals whose floats tie, and unbounded numerators and denominators.
+TIES = [Fraction(1), Fraction(2**60 + 1, 2**60), Fraction(2**60 - 1, 2**60), Fraction(-(2**60 + 1), 2**60),
+        Fraction(-1), Fraction(3**40, 3**40 + 1), Fraction(0), Fraction(1, 2**70), Fraction(-1, 2**70)]
+# Values of the inner parameter 0 < t < 1 with the same float, and one apart.
+INNER_T = [Fraction(1, 2), Fraction(2**60 + 1, 2**61), Fraction(2**60 - 1, 2**61), Fraction(1, 4)]
+rationals = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from(TIES),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+wide_characters = st.builds(
+    CharacterCx, st.integers(-4, 4), st.builds(GaussianRational, rationals, rationals)
+)
+wide_blocks = st.one_of(
+    st.builds(CharBlock, st.integers(1, 3), st.integers(-2, 2), st.builds(GaussianRational, st.just(Fraction(0)), rationals)),
+    st.builds(
+        CompSeriesBlock,
+        st.integers(1, 3),
+        st.integers(-2, 2),
+        st.builds(GaussianRational, st.just(Fraction(0)), rationals),
+        st.sampled_from(INNER_T),
+    ),
+)
+
 GRID_BLOCKS = acceptance_block_grid()
-GRID_CHARACTERS = sorted({c for b in GRID_BLOCKS for c in block_characters(b)}, key=CharacterCx.sort_key)
+GRID_CHARACTERS = sorted({c for b in GRID_BLOCKS for c in block_characters(b)}, key=sort_key)
 
 
 def fresh(z: GaussianRational) -> GaussianRational:
     return GaussianRational(Fraction(z.re.numerator, z.re.denominator), Fraction(z.im.numerator, z.im.denominator))
 
 
+def fields(x) -> tuple:
+    """The order the key must reproduce: (m, -Re s, -Im s) for a character,
+    (kind, n or m, k, Im u, t) for a block, with t = 0 on a character block."""
+    if isinstance(x, CharacterCx):
+        return (x.m, -x.s.re, -x.s.im)
+    if isinstance(x, CharBlock):
+        return (0, x.n, x.k, x.u.im, Fraction(0))
+    return (1, x.m, x.k, x.u.im, x.t)
+
+
+def check_same_order(values) -> None:
+    """The key orders and identifies values exactly as their fields do."""
+    for a in values:
+        for b in values:
+            assert (a.key < b.key) == (fields(a) < fields(b))
+            assert (a.key == b.key) == (fields(a) == fields(b)) == (a == b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert [fields(x) for x in sorted(values, key=sort_key)] == sorted(fields(x) for x in values)
+
+
 def check_character_cache(c: CharacterCx) -> None:
     """Each value a character keeps equals its recomputation from the fields."""
     again = CharacterCx(c.m, fresh(c.s))
-    assert hash(c) == hash(again) == hash((c.m, c.s.re, c.s.im))
+    assert again is not c and again == c and hash(again) == hash(c) and again.key == c.key
     assert hash(c.s) == hash(fresh(c.s)) == hash((c.s.re, c.s.im))
-    assert c.sort_key() == (c.m, -c.s.re, -c.s.im)
+    assert all(isinstance(e, int) or abs(e) == math.inf for e in c.key)
+    assert c != CharacterCx(c.m + 1, c.s) and c != CharacterCx(c.m, c.s + GaussianRational(0, 1))
     assert c.s_is_zero == (c.s == GaussianRational(0))
     assert c.half_integral_odd == (c.m % 2 == 1 and (c.s + c.s).is_integer())
     assert c.conj_inverse() == CharacterCx(c.m, -c.s)
@@ -77,17 +125,13 @@ def check_block_cache(b) -> None:
     """Each value a block keeps equals its recomputation from the fields."""
     if isinstance(b, CharBlock):
         again = CharBlock(b.n, b.k, fresh(b.u))
-        fields = (b.n, b.k, b.u)
-        old_key = (0, b.n, b.k, b.u.im, Fraction(0))
         mirror = CharBlock(b.n, b.k, -b.u)
     else:
-        again = CompSeriesBlock(b.m, b.k, fresh(b.u), b.t)
-        fields = (b.m, b.k, b.u, b.t)
-        old_key = (1, b.m, b.k, b.u.im, b.t)
+        again = CompSeriesBlock(b.m, b.k, fresh(b.u), Fraction(b.t.numerator, b.t.denominator))
         mirror = CompSeriesBlock(b.m, b.k, -b.u, b.t)
-    assert hash(b) == hash(again) == hash(fields)
+    assert again is not b and again == b and hash(again) == hash(b) and again.key == b.key
     assert hash(b.u) == hash(fresh(b.u)) == hash((b.u.re, b.u.im))
-    assert _block_sort_key(b) == old_key
+    assert all(isinstance(e, int) or abs(e) == math.inf for e in b.key)
     assert b.u_is_zero == (b.u == GaussianRational(0))
     assert b.mirror() == mirror and hash(b.mirror()) == hash(mirror)
     assert b.mirror() is b.mirror()
@@ -96,21 +140,51 @@ def check_block_cache(b) -> None:
 
 class TestCachedValues:
     def test_grid_characters(self):
-        assert len(GRID_CHARACTERS) > 100
+        assert len(GRID_CHARACTERS) == 555
         for c in GRID_CHARACTERS:
             check_character_cache(c)
+        check_same_order(GRID_CHARACTERS)
 
     def test_grid_blocks(self):
         for b in GRID_BLOCKS:
             check_block_cache(b)
+        check_same_order(GRID_BLOCKS)
 
-    @given(characters)
+    def test_grid_hashes_are_distinct(self):
+        # CPython's hash(-1) == hash(-2): field-tuple hashes gave the grid's
+        # blocks 192 distinct values and its characters 432.
+        assert len({hash(b) for b in GRID_BLOCKS}) == len(GRID_BLOCKS) == 240
+        assert len({hash(c) for c in GRID_CHARACTERS}) == len(GRID_CHARACTERS) == 555
+
+    def test_float_ties(self):
+        chars = [CharacterCx(m, GaussianRational(re, im)) for m in (-1, 0) for re in TIES for im in TIES[:3]]
+        check_same_order(chars)
+        blocks = [CharBlock(1, -1, GaussianRational(0, x)) for x in TIES]
+        blocks += [CompSeriesBlock(1, -1, GaussianRational(0, x), t) for x in TIES[:4] for t in INNER_T]
+        check_same_order(blocks)
+
+    def test_types_never_equal(self):
+        assert CharBlock(1, 0, GaussianRational(0)) != CharacterCx(0, GaussianRational(0))
+        assert CharacterCx(0, GaussianRational(0)) != (0, 0)
+
+    def test_block_cache_is_bounded(self):
+        assert block_characters.cache_info().maxsize == BLOCK_CACHE_SIZE >= 10 * len(GRID_BLOCKS)
+
+    @given(st.one_of(characters, wide_characters))
     def test_drawn_characters(self, c):
         check_character_cache(c)
 
-    @given(st.one_of(char_blocks, comp_blocks))
+    @given(st.one_of(char_blocks, comp_blocks, wide_blocks))
     def test_drawn_blocks(self, b):
         check_block_cache(b)
+
+    @given(st.lists(wide_characters, min_size=1, max_size=8))
+    def test_drawn_character_order(self, chars):
+        check_same_order(chars + [CharacterCx(c.m, fresh(c.s)) for c in chars[:2]])
+
+    @given(st.lists(st.one_of(char_blocks, comp_blocks, wide_blocks), min_size=1, max_size=8))
+    def test_drawn_block_order(self, blocks):
+        check_same_order(blocks)
 
 
 class TestCharacterOps:
