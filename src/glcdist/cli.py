@@ -299,7 +299,7 @@ def cmd_cosets(args) -> int:
         if comp.n != args.n:
             raise InputError(f"--comp {args.comp} does not sum to n = {args.n}")
         classes = parabolic_classes(args.n, comp)
-        dims = class_dimensions(classes, comp)
+        dims = class_dimensions(classes)
         full = 2 * args.n * args.n
         results["composition"] = list(parts)
         results["classes"] = [[w.to_json() for w in cls] for cls in classes]

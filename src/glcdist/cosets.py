@@ -8,12 +8,23 @@ explicit Gaussian-integer representative g_w: the identity except for the
 
 For a standard parabolic given by a composition of n, two involutions
 represent the same double coset iff they lie in a common Young-subgroup
-double coset; classes are computed by breadth-first closure (the closure
-runs over all permutations in the double coset, then keeps the
-involutions).  The orbit dimension at g_w is the exact real rank of the
-tangent space p g_w + g_w h (parabolic subalgebra p, real form h), whose
-spanning matrices are rows and columns of g_w copied into place; the open
-orbit is the unique class of full dimension 2n^2.
+double coset.  Both the classes and their dimensions are read off in
+closed form:
+
+- A Young double coset is determined by its block-count matrix, the number
+  of i with i in block a and w(i) in block b; the involutions are grouped
+  by that matrix.
+- The orbit of the parabolic times the real form through g_w has real
+  dimension 2n^2 - n(n-1)/2 + max l(v), the max over the involutions v of
+  w's class, for l the number of inversions (the length-function picture of
+  Matsuki, J. Math. Soc. Japan 31 (1979), and Richardson-Springer, Geom.
+  Dedicata 35 (1990)).  The open orbit is the unique class of dimension
+  2n^2.
+
+The formula is checked against an independent oracle, ``orbit_dimension``:
+the exact real rank of the tangent space p g_w + g_w h (parabolic
+subalgebra p, real form h), whose spanning matrices are rows and columns of
+g_w copied into place.
 
 This module decides how a complex matrix is represented: a tuple of rows of
 Gaussian integers, and, for ``exactnum.real_rank``, its 2n^2 integer
@@ -30,16 +41,6 @@ from .exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, real_rank
 
 _MAX_ENUM_N = 10
 _MAX_CLASS_N = 8
-# Cap on the exact rank work of one request for the orbit dimensions of all
-# classes of a composition: the summed entries of the rank matrices, classes
-# x rows x 2n^2.  Every composition of n <= 6 fits; the largest of them is
-# the Borel composition of 6 (76 classes, 426,816 entries).  The largest
-# request allowed is (4, 2, 1, 1) and its permutations (24 classes, 460,800
-# entries): `glcdist cosets --n 8 --comp 4,2,1,1` took 3.8 to 4.0 s end to
-# end, and the Borel composition of 6 took 1.4 to 2.8 s, on a shared 2-CPU
-# container (CPython 3.11.7).  The Borel composition of 7 needs 2,387,280
-# entries and that of 8 needs 13,299,712.
-ORBIT_MAX_RANK_ENTRIES = 500_000
 
 
 @dataclass(frozen=True)
@@ -209,66 +210,26 @@ class Composition:
             out.extend([b] * size)
         return out
 
-    def young_adjacent_transpositions(self) -> List[int]:
-        """0-based positions i such that (i+1, i+2) swaps inside one block;
-        these generate the Young subgroup."""
-        gens = []
-        offset = 0
-        for size in self.parts:
-            gens.extend(range(offset, offset + size - 1))
-            offset += size
-        return gens
-
-
-def _apply_left(gen: int, perm: tuple) -> tuple:
-    """Compose with the adjacent transposition on values gen+1, gen+2."""
-    a, b = gen + 1, gen + 2
-    return tuple(b if x == a else a if x == b else x for x in perm)
-
-
-def _apply_right(gen: int, perm: tuple) -> tuple:
-    """Compose with the adjacent transposition on positions gen, gen+1."""
-    lst = list(perm)
-    lst[gen], lst[gen + 1] = lst[gen + 1], lst[gen]
-    return tuple(lst)
-
 
 def parabolic_classes(n: int, comp: Composition) -> List[List[Involution]]:
     """Partition the involutions into Young-subgroup double cosets.
 
     Two involutions are equivalent iff one is sigma w sigma' for sigma,
-    sigma' in the Young subgroup of ``comp``; the closure is taken over the
-    whole double coset (which contains non-involutions) and the involutions
-    in it form one class.  Classes are sorted by, and listed with, their
-    lexicographically minimal member first.
+    sigma' in the Young subgroup of ``comp``, that is iff their block-count
+    matrices agree (the sorted pairs (block of i, block of w(i))).  Classes
+    are sorted by, and listed with, their lexicographically minimal member
+    first.
     """
     if comp.n != n:
         raise PreconditionError("composition must sum to n")
     if n > _MAX_CLASS_N:
         raise PreconditionError(f"parabolic classes supported for n <= {_MAX_CLASS_N}")
-    gens = comp.young_adjacent_transpositions()
-    involutions = [w.perm for w in enumerate_involutions(n)]
-    unassigned = set(involutions)
-    classes = []
-    for start in involutions:
-        if start not in unassigned:
-            continue
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    for q in (_apply_left(g, p), _apply_right(g, p)):
-                        if q not in seen:
-                            seen.add(q)
-                            nxt.append(q)
-            frontier = nxt
-        members = sorted(q for q in seen if q in unassigned)
-        unassigned.difference_update(members)
-        classes.append([Involution(q) for q in members])
-    classes.sort(key=lambda cls: cls[0].perm)
-    return classes
+    block = comp.block_of()
+    classes: dict = {}
+    for w in enumerate_involutions(n):
+        key = tuple(sorted((block[i], block[j - 1]) for i, j in enumerate(w.perm)))
+        classes.setdefault(key, []).append(w)
+    return list(classes.values())
 
 
 def orbit_dimension(w: Involution, comp: Composition) -> int:
@@ -297,21 +258,16 @@ def orbit_dimension(w: Involution, comp: Composition) -> int:
     return real_rank(vectors, n)
 
 
-def class_dimensions(classes: List[List[Involution]], comp: Composition) -> List[int]:
-    """The orbit dimension of each class, read at its first member.
+def _inversions(w: Involution) -> int:
+    p = w.perm
+    return sum(1 for i, x in enumerate(p) for y in p[i + 1 :] if x > y)
 
-    Precondition: the rank matrices of all classes hold at most
-    ORBIT_MAX_RANK_ENTRIES entries; PreconditionError otherwise, raised
-    before any rank is computed.
-    """
-    n = comp.n
-    block = comp.block_of()
-    rows = n * n + 2 * sum(1 for a in block for b in block if a <= b)
-    entries = len(classes) * rows * 2 * n * n
-    if entries > ORBIT_MAX_RANK_ENTRIES:
-        raise PreconditionError(
-            f"the orbit dimensions of {len(classes)} classes need {entries} rank "
-            f"entries; at most ORBIT_MAX_RANK_ENTRIES = {ORBIT_MAX_RANK_ENTRIES} are supported"
-        )
-    return [orbit_dimension(cls[0], comp) for cls in classes]
 
+def class_dimensions(classes: List[List[Involution]]) -> List[int]:
+    """The orbit dimension of each class, 2n^2 - n(n-1)/2 + max l(v) over
+    its members v, for l the number of inversions."""
+    dims = []
+    for cls in classes:
+        n = cls[0].n
+        dims.append(2 * n * n - n * (n - 1) // 2 + max(_inversions(v) for v in cls))
+    return dims

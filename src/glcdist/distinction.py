@@ -26,7 +26,7 @@ irreducibility test is performed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .params import (
     CharBlock,
@@ -57,8 +57,7 @@ class InvolutionWitness:
         }
 
 
-@dataclass(frozen=True)
-class DistinctionVerdict:
+class DistinctionVerdict(NamedTuple):
     distinguished: bool
     condition_i: bool
     condition_ii: bool

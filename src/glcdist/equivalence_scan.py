@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .distinction import is_distinguished_blocks, is_distinguished_unitary
 from .exactnum import GaussianRational
 from .params import (
@@ -219,14 +217,14 @@ def _and_convolve(acc: list, tallies: list, budget: int) -> list:
 class ScanResult:
     budget: int
     disagreements: int
-    nodes_by_size: np.ndarray
-    dist_by_size: np.ndarray
+    nodes_by_size: List[int]
+    dist_by_size: List[int]
     first_failure: Optional[UnitaryRep]
     components: int
 
     @property
     def total_nodes(self) -> int:
-        return int(self.nodes_by_size.sum())
+        return sum(self.nodes_by_size)
 
 
 def scan_tables(blocks: Sequence, tables: dict, budget: int) -> ScanResult:
@@ -248,14 +246,7 @@ def scan_tables(blocks: Sequence, tables: dict, budget: int) -> ScanResult:
     dist = [a + b for a, b in zip(acc[2], acc[3])]
     nodes[0] = dist[0] = 0  # the empty multiset is not a representation
     disagreements = sum(acc[1]) + sum(acc[2])
-    return ScanResult(
-        budget,
-        disagreements,
-        np.asarray(nodes, dtype=np.int64),
-        np.asarray(dist, dtype=np.int64),
-        failure,
-        len(components),
-    )
+    return ScanResult(budget, disagreements, nodes, dist, failure, len(components))
 
 
 def run_equivalence_scan(budget: int = 8) -> ScanResult:
@@ -311,7 +302,7 @@ def direct_verdicts(rep: UnitaryRep) -> Tuple[bool, bool]:
     )
 
 
-def direct_exhaustive_check(budget: int) -> Tuple[int, np.ndarray, np.ndarray]:
+def direct_exhaustive_check(budget: int) -> Tuple[int, List[int], List[int]]:
     """Push every multiset of total size <= budget through the full API.
 
     Returns (number of disagreements, nodes per size, distinguished per
@@ -327,11 +318,7 @@ def direct_exhaustive_check(budget: int) -> Tuple[int, np.ndarray, np.ndarray]:
             disagreements += 1
         if via_param:
             dist[n] += 1
-    return (
-        disagreements,
-        np.asarray(nodes, dtype=np.int64),
-        np.asarray(dist, dtype=np.int64),
-    )
+    return disagreements, nodes, dist
 
 
 def random_reps(rng, total: int, count: int) -> List[UnitaryRep]:

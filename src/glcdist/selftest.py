@@ -17,6 +17,7 @@ from typing import Callable, List, Tuple
 
 from .cosets import (
     Composition,
+    class_dimensions,
     enumerate_involutions,
     orbit_dimension,
     parabolic_classes,
@@ -228,8 +229,9 @@ def criterion_5_ktype_oracle() -> Tuple[bool, str]:
 
 
 def criterion_6_cosets() -> Tuple[bool, str]:
-    """Involution counts, class counts, open-orbit uniqueness, and
-    representative verification."""
+    """Involution counts, class counts, the closed-form orbit dimensions
+    against the exact rank, open-orbit uniqueness, and representative
+    verification."""
     expected_counts = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26}
     for n, count in expected_counts.items():
         if len(enumerate_involutions(n)) != count:
@@ -248,27 +250,28 @@ def criterion_6_cosets() -> Tuple[bool, str]:
             for rest in compositions(n - first):
                 yield (first,) + rest
 
-    for n in range(1, 5):
+    # The closed-form dimensions against the exact rank at every member.
+    for n in range(1, 6):
         full = 2 * n * n
         for parts in compositions(n):
             comp = Composition(parts)
             classes = parabolic_classes(n, comp)
-            open_classes = 0
-            for cls in classes:
-                dims = {orbit_dimension(w, comp) for w in cls}
-                if len(dims) != 1:
-                    return False, f"orbit dimension not constant on class {cls}"
-                if dims.pop() == full:
-                    open_classes += 1
-            if open_classes != 1:
-                return False, f"{open_classes} open classes for n={n}, comp={parts}"
+            dims = class_dimensions(classes)
+            for cls, dim in zip(classes, dims):
+                if any(orbit_dimension(w, comp) != dim for w in cls):
+                    return False, f"rank differs from the closed form {dim} on class {cls}"
+            if dims.count(full) != 1:
+                return False, f"{dims.count(full)} open classes for n={n}, comp={parts}"
 
     for n in range(1, 7):
         for w in enumerate_involutions(n):
             if not verify_representative(w):
                 return False, f"representative check failed at {w}"
 
-    return True, "counts 1,2,4,10,26; n+1 classes; unique open orbit; reps verified to n=6"
+    return True, (
+        "counts 1,2,4,10,26; n+1 classes; rank equals the closed form on every "
+        "class member to n=5; unique open orbit; reps verified to n=6"
+    )
 
 
 def criterion_7_special_functions() -> Tuple[bool, str]:

@@ -162,6 +162,15 @@ class TestCosets:
         assert results["class_dimensions"] == [28, 31, 32]
         assert results["open_classes"] == 1
 
+    def test_borel_compositions_of_seven_and_eight(self, capsys):
+        code, report = run_json(capsys, "cosets", "--n", "7", "--comp", "1,1,1,1,1,1,1")
+        assert code == 0
+        dims = report["results"]["class_dimensions"]
+        assert len(report["results"]["classes"]) == 232
+        assert report["results"]["open_classes"] == 1 and dims.count(98) == 1
+        code, report = run_json(capsys, "cosets", "--n", "8", "--comp", "1,1,1,1,1,1,1,1")
+        assert code == 0 and report["results"]["open_classes"] == 1
+
     def test_composition_mismatch(self, capsys):
         code = main(["cosets", "--n", "4", "--comp", "2,1"])
         capsys.readouterr()
@@ -333,7 +342,7 @@ BAD_INPUTS = [
     (["cosets", "--n", "4", "--comp", "0,4"], 2),
     (["cosets", "--n", "4", "--comp", "2,x"], 1),
     (["cosets", "--n", "4", "--comp", "2.0,2"], 1),
-    (["cosets", "--n", "8", "--comp", "1,1,1,1,1,1,1,1"], 2),
+    (["cosets", "--n", "9", "--comp", "1,1,1,1,1,1,1,1,1"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
     (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),

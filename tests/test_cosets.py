@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from glcdist import cosets
 from glcdist.cosets import (
-    ORBIT_MAX_RANK_ENTRIES,
     Composition,
     Involution,
     class_dimensions,
@@ -24,6 +25,46 @@ def compositions(n):
     for first in range(1, n + 1):
         for rest in compositions(n - first):
             yield (first,) + rest
+
+
+def closure_classes(n, parts):
+    """Young double cosets by breadth-first closure: the involutions reached
+    from each one by adjacent transpositions inside a block, applied to
+    values (left) or positions (right)."""
+    gens = []
+    offset = 0
+    for size in parts:
+        gens.extend(range(offset, offset + size - 1))
+        offset += size
+
+    def neighbours(p):
+        for g in gens:
+            a, b = g + 1, g + 2
+            yield tuple(b if x == a else a if x == b else x for x in p)
+            q = list(p)
+            q[g], q[g + 1] = q[g + 1], q[g]
+            yield tuple(q)
+
+    involutions = [w.perm for w in enumerate_involutions(n)]
+    unassigned = set(involutions)
+    classes = []
+    for start in involutions:
+        if start not in unassigned:
+            continue
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in neighbours(p):
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        members = sorted(seen & unassigned)
+        unassigned -= seen
+        classes.append(members)
+    return sorted(classes)
 
 
 def gaussian_rows(rows):
@@ -119,6 +160,12 @@ class TestParabolicClasses:
             classes = parabolic_classes(2 * half, Composition((half, half)))
             assert len(classes) == half + 1
 
+    def test_against_the_closure(self):
+        for n in range(1, 7):
+            for parts in compositions(n):
+                classes = parabolic_classes(n, Composition(parts))
+                assert [[w.perm for w in cls] for cls in classes] == closure_classes(n, parts), parts
+
     def test_composition_guard(self):
         with pytest.raises(PreconditionError):
             parabolic_classes(4, Composition((2, 1)))
@@ -191,21 +238,25 @@ class TestOrbitDimensions:
             28, 28, 31, 31, 28, 28, 31, 32, 31, 32,
         ]
 
-    def test_work_cap(self, monkeypatch):
-        computed = []
-
-        def no_rank(w, comp):
-            computed.append(w)
-            return 0
-
-        monkeypatch.setattr(cosets, "orbit_dimension", no_rank)
-        for n in range(1, 7):
-            for parts in compositions(n):
-                classes = parabolic_classes(n, Composition(parts))
-                assert len(class_dimensions(classes, Composition(parts))) == len(classes)
-        computed.clear()
+    def test_formula_against_rank(self):
+        for parts in ((3, 4), (4, 4)):
+            comp = Composition(parts)
+            classes = parabolic_classes(sum(parts), comp)
+            assert class_dimensions(classes) == [orbit_dimension(cls[0], comp) for cls in classes]
+        rng = random.Random(11)
         for n in (7, 8):
             comp = Composition((1,) * n)
-            with pytest.raises(PreconditionError, match=f"ORBIT_MAX_RANK_ENTRIES = {ORBIT_MAX_RANK_ENTRIES}"):
-                class_dimensions(parabolic_classes(n, comp), comp)
-        assert computed == []
+            classes = rng.sample(parabolic_classes(n, comp), 6)
+            assert class_dimensions(classes) == [orbit_dimension(cls[0], comp) for cls in classes]
+
+    def test_work_cap(self, monkeypatch):
+        # The closed form computes no rank, so every composition answers.
+        def no_rank(w, comp):
+            raise AssertionError("class_dimensions computed a rank")
+
+        monkeypatch.setattr(cosets, "orbit_dimension", no_rank)
+        for n in range(1, 9):
+            full = 2 * n * n
+            for parts in compositions(n):
+                dims = class_dimensions(parabolic_classes(n, Composition(parts)))
+                assert dims.count(full) == 1 and all(0 < d <= full for d in dims), parts

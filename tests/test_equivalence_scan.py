@@ -29,6 +29,12 @@ class TestFullScan:
         assert scan.first_failure is None
         assert scan.components == 50
 
+    def test_counts_are_python_ints_past_64_bits(self):
+        scan = run_equivalence_scan(32)
+        assert all(type(x) is int for x in scan.nodes_by_size + scan.dist_by_size)
+        assert scan.total_nodes == sum(scan.nodes_by_size) > 2**63
+        assert scan.disagreements == 0
+
     def test_matches_direct_api_small_budget(self):
         scan = run_equivalence_scan(3)
         disagreements, nodes, dist = direct_exhaustive_check(3)

@@ -87,6 +87,25 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source: str) -> set:
+    """The top-level package of every absolute import in ``source``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_kernelnum_imports_numpy():
+    # Floats are confined to kernelnum; every other module computes exactly.
+    assert imported_modules("import numpy.linalg as la\nfrom .x import y\n") == {"numpy"}
+    assert [path.name for path in MODULES if "numpy" in imported_modules(path.read_text(encoding="utf-8"))] == [
+        "kernelnum.py"
+    ]
+
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

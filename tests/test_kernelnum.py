@@ -15,7 +15,10 @@ from glcdist.kernelnum import (
     QuadratureConfig,
     adaptive_quad,
     angular_moment,
+    _beta_args,
+    _log_gamma,
     beta_P,
+    beta_fn,
     case1_displayed_form,
     case2_displayed_form,
     complex_gamma,
@@ -66,6 +69,18 @@ class TestGamma:
         for k in (0, -1, -2, -7):
             with pytest.raises(PreconditionError):
                 complex_gamma(k)
+            with pytest.raises(PreconditionError):
+                _log_gamma(complex(k))
+            with pytest.raises(PreconditionError):
+                beta_fn(k, 1.5)
+
+    def test_beta_where_the_gamma_product_underflows(self):
+        # Case 1's Beta arguments at s = -0.3+240i: B is about 2.3e-165,
+        # while Gamma(a) Gamma(b) / Gamma(a+b) as a product of values is 0.
+        a, b = _beta_args(1, complex(-0.3, 240))
+        with mpmath.workdps(30):
+            theirs = complex(mpmath.beta(mpmath.mpc(a.real, a.imag), mpmath.mpc(b.real, b.imag)))
+        assert abs(beta_fn(a, b) - theirs) / abs(theirs) < 1e-10
 
 
 class TestQuadrature:
