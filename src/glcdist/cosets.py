@@ -34,6 +34,7 @@ coordinates.  Nothing here inverts or multiplies matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 from .errors import PreconditionError
@@ -84,10 +85,13 @@ class Involution:
         return cls(tuple(perm))
 
 
-def enumerate_involutions(n: int) -> List[Involution]:
+@lru_cache(maxsize=None)
+def enumerate_involutions(n: int) -> Tuple[Involution, ...]:
     """All involutions of {1..n}, sorted by one-line notation.
 
-    The count obeys T(n) = T(n-1) + (n-1) T(n-2).
+    The count obeys T(n) = T(n-1) + (n-1) T(n-2).  Each n is built once
+    (n is capped at _MAX_ENUM_N, so the cache holds at most that many
+    tuples).
     """
     if not 1 <= n <= _MAX_ENUM_N:
         raise PreconditionError(f"n must lie in 1..{_MAX_ENUM_N}, got {n}")
@@ -107,7 +111,7 @@ def enumerate_involutions(n: int) -> List[Involution]:
         for pairs in build(tuple(range(1, n + 1)))
     ]
     invs.sort(key=lambda w: w.perm)
-    return invs
+    return tuple(invs)
 
 
 Matrix = Tuple[Tuple[GaussianRational, ...], ...]

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .distinction import is_distinguished_blocks, is_distinguished_unitary
+from .errors import PreconditionError
 from .exactnum import GaussianRational
 from .params import (
     CharBlock,
@@ -249,8 +250,19 @@ def scan_tables(blocks: Sequence, tables: dict, budget: int) -> ScanResult:
     return ScanResult(budget, disagreements, nodes, dist, failure, len(components))
 
 
+# The largest total size run_equivalence_scan accepts.  The scan's work
+# grows with the budget (size 32 takes about 2 s, and counts past 2^64);
+# 32 is the largest budget the tests run.
+SCAN_MAX_BUDGET = 32
+
+
 def run_equivalence_scan(budget: int = 8) -> ScanResult:
-    """Scan every block multiset of total size <= budget on the grid."""
+    """Scan every block multiset of total size <= budget on the grid, for
+    an integer budget in 0..SCAN_MAX_BUDGET."""
+    if not (type(budget) is int and 0 <= budget <= SCAN_MAX_BUDGET):
+        raise PreconditionError(
+            f"scan budget must be an integer in 0..{SCAN_MAX_BUDGET}; got {budget!r}"
+        )
     blocks = acceptance_block_grid()
     return scan_tables(blocks, _scan_tables(blocks), budget)
 

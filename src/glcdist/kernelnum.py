@@ -7,11 +7,11 @@ Every integral the kernel checks need is one radial moment
 
 with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b) (DLMF 5.12.3), integrated
 numerically by ``_radial_moment``.  It folds (1, inf) onto (0, 1] by
-r -> 1/r, so it is one finite-interval integral with no cutoff and no
-extrapolation, and it first substitutes r = x^q with
-q = 1/min(Re c + 1, Re(2a - c) - 1), which makes the power of x at 0
-non-negative in both halves of the fold; the integrand is evaluated in log
-space, so no value overflows.  Through it:
+r -> 1/r, written into the integrand in closed form, so it is one
+finite-interval integral with no cutoff and no extrapolation, and it first
+substitutes r = x^q with q = 1/min(Re c + 1, Re(2a - c) - 1), which makes
+the power of x at 0 non-negative in both halves of the fold; the integrand
+is evaluated in log space, so no value overflows.  Through it:
 
 - the angular moment A(p), the integral of |sin t|^p over one period, is
   4 M(p/2 + 1, p): t = arctan r on each quarter period;
@@ -25,7 +25,10 @@ space, so no value overflows.  Through it:
   (1/2) B((j-s)/2, (j+3s)/2) of the radial factor.
 
 An adaptive integral splits into at most MAX_SUBDIVISIONS panels, and a
-kernel sample s must be finite with |Im s| <= KERNEL_MAX_IM.
+kernel sample s must be finite with |Im s| <= KERNEL_MAX_IM.  Each panel is
+a G7-K15 Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983) in plain
+Python: integrands are scalar, called with one float per node and computed
+with ``math`` and ``cmath``, so the package needs no array library.
 
 An "as-displayed" variant of each kernel closed form is kept as well:
 2^s Gamma((j-s)/2) Gamma((j+3s)/2) / Gamma(s+1) A(j+s), which omits the
@@ -50,8 +53,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
-
-import numpy as np
 
 from .errors import PreconditionError, QuadratureError
 
@@ -84,8 +85,11 @@ def _log_gamma(z: complex) -> complex:
     sin(pi z) = (i sigma / 2) exp(-i sigma pi z) (1 - exp(2 i sigma pi z))
     for sigma the sign of Im z, so that the last exponential has modulus at
     most 1 and nothing overflows however large |Im z| is.  Raises
-    PreconditionError at the poles, the non-positive integers.
+    PreconditionError at the poles, the non-positive integers, and at a
+    non-finite z.
     """
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"gamma needs a finite argument; got z = {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PreconditionError(f"gamma pole at z = {z.real:.0f}")
     if z.real < 0.5:
@@ -107,7 +111,7 @@ def complex_gamma(z: complex) -> complex:
     The exponential of ``_log_gamma``, so that the reflection half-plane
     neither overflows nor underflows before the result does; relative
     accuracy is around 1e-13 on moderate arguments.  Raises
-    PreconditionError at non-positive integers.
+    PreconditionError at non-positive integers and non-finite arguments.
     """
     return cmath.exp(_log_gamma(complex(z)))
 
@@ -115,7 +119,8 @@ def complex_gamma(z: complex) -> complex:
 def beta_fn(a: complex, b: complex) -> complex:
     """B(a,b) = Gamma(a) Gamma(b) / Gamma(a+b), as the exponential of a sum
     of ``_log_gamma`` values, so that the Gamma factors neither overflow nor
-    underflow before B does."""
+    underflow before B does.  Raises PreconditionError where ``_log_gamma``
+    does: at a pole or a non-finite argument of a, b or a + b."""
     a, b = complex(a), complex(b)
     return cmath.exp(_log_gamma(a) + _log_gamma(b) - _log_gamma(a + b))
 
@@ -124,7 +129,7 @@ def beta_fn(a: complex, b: complex) -> complex:
 
 # 15-point Kronrod nodes (positive half) with Kronrod weights and the
 # embedded 7-point Gauss weights (zero where the node is Kronrod-only).
-_KRONROD = (
+_KRONROD_HALF = (
     (0.991455371120813, 0.022935322010529, 0.0),
     (0.949107912342759, 0.063092092629979, 0.129484966168870),
     (0.864864423359769, 0.104790010322250, 0.0),
@@ -135,18 +140,11 @@ _KRONROD = (
     (0.0, 0.209482141084728, 0.417959183673469),
 )
 
-_NODES = np.array(
-    [x for x, _, _ in _KRONROD[:-1]] + [0.0] + [-x for x, _, _ in _KRONROD[:-1]]
-)
-_WK = np.array(
-    [w for _, w, _ in _KRONROD[:-1]]
-    + [_KRONROD[-1][1]]
-    + [w for _, w, _ in _KRONROD[:-1]]
-)
-_WG = np.array(
-    [w for _, _, w in _KRONROD[:-1]]
-    + [_KRONROD[-1][2]]
-    + [w for _, _, w in _KRONROD[:-1]]
+# All 15 (node, Kronrod weight, Gauss weight): the positive half, the
+# centre, then the mirrored negative half.
+_KRONROD = (
+    _KRONROD_HALF
+    + tuple((-x, wk, wg) for x, wk, wg in _KRONROD_HALF[:-1])
 )
 
 
@@ -175,16 +173,22 @@ KERNEL_CONFIG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
 def _kronrod_panel(f: Callable, a: float, b: float) -> Tuple[complex, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    values = np.asarray(f(mid + half * _NODES), dtype=complex)
-    k15 = half * complex(np.sum(_WK * values))
-    g7 = half * complex(np.sum(_WG * values))
-    return k15, abs(k15 - g7)
+    k15 = g7 = 0j
+    for x, wk, wg in _KRONROD:
+        value = f(mid + half * x)
+        k15 += wk * value
+        g7 += wg * value
+    k15 *= half
+    return k15, abs(k15 - half * g7)
 
 
 def adaptive_quad(
     f: Callable, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Integrate a (vectorized) complex integrand over [a, b] adaptively."""
+    """Integrate a complex integrand over [a, b] adaptively.
+
+    ``f`` is scalar: it takes one float and returns one number, and is
+    called once per Kronrod node, 15 times per panel."""
     value, err = _kronrod_panel(f, a, b)
     intervals = [(a, b, value, err)]
     while True:
@@ -207,7 +211,9 @@ def adaptive_quad(
 
 def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
     """Integral of f over (0, inf), with (1, inf) folded onto (0, 1] by
-    r -> 1/r: the one finite integral of f(r) + f(1/r)/r^2 over [0, 1]."""
+    r -> 1/r: the one finite integral of f(r) + f(1/r)/r^2 over [0, 1].
+    ``f`` is scalar, as in ``adaptive_quad``: it is called with one float
+    r > 0 at a time."""
     return adaptive_quad(lambda r: f(r) + f(1.0 / r) / (r * r), 0.0, 1.0, cfg)
 
 
@@ -217,20 +223,23 @@ def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
 def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
     """M(a, c), the integral of (1+r^2)^-a r^c over (0, inf), for Re c > -1
     and Re(2a - c) > 1.  With r = x^q the integrand is
-    q x^(q(c+1) - 1) (1+x^(2q))^-a; after the fold the power of x at 0 is
-    q(c+1) - 1 in one half and q(2a-c-1) - 1 in the other, and the choice
-    of q makes both real parts non-negative."""
+    q x^(q(c+1) - 1) (1+x^(2q))^-a, and the fold x -> 1/x maps its part
+    over (1, inf) to q x^(q(2a-c-1) - 1) (1+x^(2q))^-a on (0, 1]; M is the
+    integral of the sum of the two over (0, 1].  The choice of q makes both
+    powers of x at 0 non-negative in real part."""
     at_zero, at_inf = c.real + 1.0, (2.0 * a - c).real - 1.0
     if not (at_zero > 0.0 and at_inf > 0.0):
         raise PreconditionError(f"M(a, c) needs Re c > -1 and Re(2a - c) > 1; got a = {a}, c = {c}")
     q = 1.0 / min(at_zero, at_inf)
-    power = q * (c + 1.0) - 1.0
+    near, far = q * (c + 1.0) - 1.0, q * (2.0 * a - c - 1.0) - 1.0
 
-    def integrand(x):
-        log_x = np.log(x)
-        return q * np.exp(power * log_x - a * np.logaddexp(0.0, 2.0 * q * log_x))
+    def folded(x):
+        # On (0, 1], x^(2q) <= 1, so log(1 + x^(2q)) cannot overflow.
+        log_x = math.log(x)
+        log_base = a * math.log1p(math.exp(2.0 * q * log_x))
+        return q * (cmath.exp(near * log_x - log_base) + cmath.exp(far * log_x - log_base))
 
-    return radial_improper_quad(integrand, cfg)
+    return adaptive_quad(folded, 0.0, 1.0, cfg)
 
 
 def angular_moment(p: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:

@@ -293,6 +293,11 @@ class TestParsing:
         )
         subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
+    def test_cli_import_loads_no_numpy(self):
+        # numpy would be most of the CLI's start-up time; no module needs it.
+        code = "import sys\nimport glcdist.cli\nassert 'numpy' not in sys.modules\n"
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
     def test_text_mode_encodes_no_json(self, capsys, monkeypatch, tmp_path):
         # Text output never encodes the report; --json and --output do, once each.
         calls = []

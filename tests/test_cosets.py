@@ -88,6 +88,11 @@ class TestEnumeration:
             (3, 2, 1),
         ]
 
+    def test_built_once_per_n(self):
+        # Callers share one immutable tuple per n; nothing rebuilds it.
+        first = enumerate_involutions(6)
+        assert type(first) is tuple and enumerate_involutions(6) is first
+
     def test_range_guard(self):
         with pytest.raises(PreconditionError):
             enumerate_involutions(0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from glcdist.equivalence_scan import (
+    SCAN_MAX_BUDGET,
     _check_independent,
     _components,
     _scan_tables,
@@ -11,6 +12,7 @@ from glcdist.equivalence_scan import (
     run_equivalence_scan,
     scan_tables,
 )
+from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
 from glcdist.params import CharBlock, CompSeriesBlock
 
@@ -30,10 +32,19 @@ class TestFullScan:
         assert scan.components == 50
 
     def test_counts_are_python_ints_past_64_bits(self):
-        scan = run_equivalence_scan(32)
+        scan = run_equivalence_scan(SCAN_MAX_BUDGET)
         assert all(type(x) is int for x in scan.nodes_by_size + scan.dist_by_size)
         assert scan.total_nodes == sum(scan.nodes_by_size) > 2**63
         assert scan.disagreements == 0
+
+    def test_budget_bound(self):
+        # 0 and SCAN_MAX_BUDGET (run above) are the edges.  Outside them, and
+        # for a budget that is not an int, the scan names its bound instead
+        # of failing inside the convolution.
+        assert run_equivalence_scan(0).nodes_by_size == [0]
+        for budget in (-1, SCAN_MAX_BUDGET + 1, True, 2.0):
+            with pytest.raises(PreconditionError, match=f"0..{SCAN_MAX_BUDGET}"):
+                run_equivalence_scan(budget)
 
     def test_matches_direct_api_small_budget(self):
         scan = run_equivalence_scan(3)

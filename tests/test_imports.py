@@ -98,12 +98,11 @@ def imported_modules(source: str) -> set:
     return out
 
 
-def test_only_kernelnum_imports_numpy():
-    # Floats are confined to kernelnum; every other module computes exactly.
+def test_no_module_imports_numpy():
+    # The package needs no array library: exact arithmetic everywhere, and
+    # kernelnum's floats through math and cmath.
     assert imported_modules("import numpy.linalg as la\nfrom .x import y\n") == {"numpy"}
-    assert [path.name for path in MODULES if "numpy" in imported_modules(path.read_text(encoding="utf-8"))] == [
-        "kernelnum.py"
-    ]
+    assert [path.name for path in MODULES if "numpy" in imported_modules(path.read_text(encoding="utf-8"))] == []
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
