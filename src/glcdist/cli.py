@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .cosets import (
@@ -63,6 +64,8 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
+
+_INF = float("inf")
 
 
 def _decode(text: str, source: str):
@@ -108,6 +111,68 @@ def _report(subcommand: str, inputs: dict, results: dict, criteria: list) -> dic
     }
 
 
+def _write_json(value, out: list, newline: str) -> None:
+    """Append to ``out`` the text json.dumps(value, indent=2) gives for
+    ``value``, ``newline`` being the line break and indent of its closing
+    bracket.
+
+    json.dumps encodes with C only when ``indent`` is None; this writer uses
+    json's C string escaper and its spellings of numbers.  Keys must be
+    strings; a value other than a str, int, float, bool, None, list, tuple
+    or dict raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value in (_INF, -_INF):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(report: dict) -> str:
+    """The report as json.dumps(report, indent=2) writes it."""
+    out: list = []
+    _write_json(report, out, "\n")
+    return "".join(out)
+
+
 def _emit(report: dict, args, text_lines) -> None:
     """Print the report as JSON (--json) or as text, and write it to --output.
 
@@ -115,7 +180,7 @@ def _emit(report: dict, args, text_lines) -> None:
     """
     output = getattr(args, "output", None)
     as_json = getattr(args, "json", False)
-    payload = json.dumps(report, indent=2) if output or as_json else None
+    payload = _encode(report) if output or as_json else None
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:

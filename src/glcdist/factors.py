@@ -11,15 +11,23 @@ modulus power is exactly representable whenever the exponent is an even
 integer (and trivially whenever |b| = 1); otherwise only the numeric
 rendering leaves the exact world.
 
-Factors of parameters multiply over the characters, and the pair factor of
-two parameters multiplies over all products of one character from each.
-For a distinguished parameter and b purely imaginary, the product at the
-central point collapses to exactly 1.
+Factors of parameters multiply over the characters, and i^{|m|} and b^m
+multiply by adding exponents, so the factor of n characters depends only on
+three sums:
+
+    i^(sum |m| mod 4) * b^(sum m) * |b|^(2 sum t - sum m + n (s - 1/2)).
+
+The pair factor of two parameters, the product over all n1 * n2 products of
+one character from each, has sum m = n2 sum m_a + n1 sum m_b, likewise for
+sum t, and sum |m_a + m_b| over the pairs; no product character is built.
+For a distinguished parameter and b purely imaginary, the factor at the
+central point is exactly 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -77,13 +85,8 @@ class ExactEps:
             self.modulus_exponent + other.modulus_exponent,
         )
 
-    def exact_value(self) -> Optional[GaussianRational]:
-        """The exact value in Q(i) when representable, else None.
-
-        Representable when the modulus exponent e is an even integer
-        (|b|^e = (|b|^2)^(e/2) is rational) and, degenerately, whenever
-        |b|^2 = 1 or e = 0.
-        """
+    @cached_property
+    def _exact(self) -> Optional[GaussianRational]:
         e = self.modulus_exponent
         if e.is_zero() or self.abs_b_sq == 1:
             return self.unit
@@ -91,6 +94,16 @@ class ExactEps:
             power = self.abs_b_sq ** (e.re.numerator // 2)
             return self.unit * GaussianRational(power)
         return None
+
+    def exact_value(self) -> Optional[GaussianRational]:
+        """The exact value in Q(i) when representable, else None; computed on
+        first use and kept.
+
+        Representable when the modulus exponent e is an even integer
+        (|b|^e = (|b|^2)^(e/2) is rational) and, degenerately, whenever
+        |b|^2 = 1 or e = 0.
+        """
+        return self._exact
 
     def numeric(self) -> complex:
         exact = self.exact_value()
@@ -111,33 +124,22 @@ class ExactEps:
             "numeric": [value.real, value.imag],
         }
 
-    @classmethod
-    def one(cls, psi: AdditiveCharacterSpec) -> "ExactEps":
-        return cls(GQ_ONE, psi.abs_sq(), GaussianRational(0))
-
-
-def eps_character(
-    c: CharacterCx, psi: AdditiveCharacterSpec, s0: GaussianRational
-) -> ExactEps:
-    """Factor of one character kappa_{m,t} at the point s0 against psi_b:
-    unit i^{|m|} b^m, modulus exponent 2t - m + s0 - 1/2."""
-    m = c.m
-    unit = (GQ_I ** (abs(m) % 4)) * (psi.b ** m)
-    exponent = c.s + c.s + (s0 - m - _HALF)
-    return ExactEps(unit, psi.abs_sq(), exponent)
-
 
 def _bits(*qs: Fraction) -> int:
     """The longest numerator or denominator among qs, in bits."""
     return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in qs)
 
 
-def _product(chars, psi: AdditiveCharacterSpec, s0: GaussianRational) -> ExactEps:
-    """The product of the factors of ``chars`` at s0, within EPS_MAX_BITS."""
-    n = len(chars)
-    re = 2 * sum(c.s.re for c in chars) - sum(c.m for c in chars) + n * (s0.re - _HALF.re)
-    im = 2 * sum(c.s.im for c in chars) + n * s0.im
-    unit_bits = sum(abs(c.m) for c in chars) * _bits(psi.b.re, psi.b.im)
+def _factor(
+    n: int, abs_m: int, m: int, t_re, t_im, psi: AdditiveCharacterSpec, s0: GaussianRational
+) -> ExactEps:
+    """The factor at s0 of n characters with sum |m| = abs_m, sum m = m and
+    sum t = t_re + t_im i: unit i^abs_m b^m, modulus exponent
+    2 sum t - m + n (s0 - 1/2).  Raises PreconditionError, before any power
+    is computed, when it does not fit EPS_MAX_BITS."""
+    re = 2 * t_re - m + n * (s0.re - _HALF.re)
+    im = 2 * t_im + n * s0.im
+    unit_bits = abs_m * _bits(psi.b.re, psi.b.im)
     power_bits = max(1, -(-abs(re) // 2)) * _bits(psi.abs_sq())
     exponent_bits = _bits(re, im)
     if max(unit_bits + power_bits, exponent_bits) > EPS_MAX_BITS:
@@ -145,10 +147,29 @@ def _product(chars, psi: AdditiveCharacterSpec, s0: GaussianRational) -> ExactEp
             f"the factor needs {unit_bits + power_bits} bits for its unit and modulus power and "
             f"{exponent_bits} for its exponent; at most EPS_MAX_BITS = {EPS_MAX_BITS} are supported"
         )
-    acc = ExactEps.one(psi)
-    for c in chars:
-        acc = acc * eps_character(c, psi, s0)
-    return acc
+    unit = GQ_I ** (abs_m % 4) * psi.b ** m
+    return ExactEps(unit, psi.abs_sq(), GaussianRational(re, im))
+
+
+def _product(chars, psi: AdditiveCharacterSpec, s0: GaussianRational) -> ExactEps:
+    """The product of the factors of ``chars`` at s0, within EPS_MAX_BITS."""
+    return _factor(
+        len(chars),
+        sum(abs(c.m) for c in chars),
+        sum(c.m for c in chars),
+        sum(c.s.re for c in chars),
+        sum(c.s.im for c in chars),
+        psi,
+        s0,
+    )
+
+
+def eps_character(
+    c: CharacterCx, psi: AdditiveCharacterSpec, s0: GaussianRational
+) -> ExactEps:
+    """Factor of one character kappa_{m,t} at the point s0 against psi_b:
+    unit i^{|m|} b^m, modulus exponent 2t - m + s0 - 1/2, within EPS_MAX_BITS."""
+    return _product((c,), psi, s0)
 
 
 def eps_rep(
@@ -168,4 +189,14 @@ def eps_pair(
 ) -> ExactEps:
     """Pair factor at the central point: the product over all character
     products of one entry from each parameter, within EPS_MAX_BITS."""
-    return _product([a * b for a in p1.chars for b in p2.chars], psi, _HALF)
+    chars1, chars2 = p1.chars, p2.chars
+    n1, n2 = len(chars1), len(chars2)
+    return _factor(
+        n1 * n2,
+        sum(abs(a.m + b.m) for a in chars1 for b in chars2),
+        n2 * sum(c.m for c in chars1) + n1 * sum(c.m for c in chars2),
+        n2 * sum(c.s.re for c in chars1) + n1 * sum(c.s.re for c in chars2),
+        n2 * sum(c.s.im for c in chars1) + n1 * sum(c.s.im for c in chars2),
+        psi,
+        _HALF,
+    )

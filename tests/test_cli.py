@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from glcdist import cli
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
 from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
@@ -301,13 +303,13 @@ class TestParsing:
     def test_text_mode_encodes_no_json(self, capsys, monkeypatch, tmp_path):
         # Text output never encodes the report; --json and --output do, once each.
         calls = []
-        dumps = json.dumps
+        encode = cli._encode
 
-        def counting(*args, **kwargs):
+        def counting(report):
             calls.append(1)
-            return dumps(*args, **kwargs)
+            return encode(report)
 
-        monkeypatch.setattr(json, "dumps", counting)
+        monkeypatch.setattr(cli, "_encode", counting)
         for argv in (
             ["classify", "--input", fixture_path("sign_cube_g6.json")],
             ["ktype", "--input", fixture_path("pair_g2.json")],
@@ -322,6 +324,36 @@ class TestParsing:
         assert main(["cosets", "--n", "3", "--json"]) == 0
         assert main(["cosets", "--n", "3", "--output", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 2
+
+
+# Every kind of value json.dumps writes, with empty containers at any depth.
+json_texts = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+json_floats = st.floats() | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+json_trees = st.recursive(
+    json_texts | st.integers() | st.integers(-(10**60), 10**60) | st.booleans() | st.none() | json_floats,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_texts, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300)
+    @example({"a": [-0.0, 1e300, math.nan, math.inf, -math.inf, {}, [], [[{}]]], 'q"\\\x01\u00e9': 10**30})
+    @example([])
+    @given(json_trees)
+    def test_equals_indented_dumps(self, value):
+        out = []
+        cli._write_json(value, out, "\n")
+        assert "".join(out) == json.dumps(value, indent=2)
+
+    def test_non_json_value_raises(self):
+        report = {"results": {"factor": [Fraction(1, 2)]}}
+        with pytest.raises(TypeError):
+            json.dumps(report, indent=2)
+        with pytest.raises(TypeError, match="Fraction"):
+            cli._encode(report)
 
 
 def langlands(m="1", s='{"re":"0","im":"0"}'):

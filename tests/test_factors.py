@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from glcdist.errors import PreconditionError
-from glcdist.exactnum import GQ_ONE, GaussianRational
+from glcdist.exactnum import GQ_I, GQ_ONE, GaussianRational
 from glcdist.factors import (
     AdditiveCharacterSpec,
     ExactEps,
@@ -36,6 +36,26 @@ def eps_half_trivial_psi(c, psi):
         raise PreconditionError("the piecewise formula needs a purely imaginary b")
     sign = -1 if (c.m > 0 and c.m % 2 == 1) else 1
     return ExactEps(GaussianRational(sign), psi.abs_sq(), c.s + c.s)
+
+
+def product_oracle(chars, psi, s0):
+    """The factor multiplied out one character at a time: i^|m| b^m times
+    |b|^(2t - m + s0 - 1/2) for each character, with no sums."""
+    acc = ExactEps(GQ_ONE, psi.abs_sq(), gq(0))
+    for c in chars:
+        unit = GQ_I ** (abs(c.m) % 4) * psi.b ** c.m
+        acc = acc * ExactEps(unit, psi.abs_sq(), c.s + c.s + (s0 - c.m - HALF))
+    return acc
+
+
+def random_parameter(rng, n):
+    """n characters with m in -5..5 and rational s."""
+    chars = []
+    for _ in range(n):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        chars.append(CharacterCx(rng.randint(-5, 5), gq(re, im)))
+    return param(*chars)
 
 
 PSI_I = AdditiveCharacterSpec(gq(0, 1))
@@ -153,6 +173,44 @@ class TestPairFactor:
                 assert eps_pair(p1, p2, psi).exact_value() == GQ_ONE
 
 
+TWISTS = [AdditiveCharacterSpec(b) for b in (gq(0, 1), gq(0, 2), gq(3, -2), gq(1, 1), gq("-1/2", "5/3"))]
+POINTS = [gq("1/2"), gq(1, 3)]
+
+
+class TestSumsEqualTheProduct:
+    def test_parameter_factor(self):
+        rng = random.Random(11)
+        residues, negative = set(), False
+        for _ in range(60):
+            p = random_parameter(rng, rng.randint(1, 6))
+            residues.add(sum(abs(c.m) for c in p.chars) % 4)
+            negative = negative or sum(c.m for c in p.chars) < 0
+            for psi in TWISTS:
+                for s0 in POINTS:
+                    assert eps_rep(p, psi, s0) == product_oracle(p.chars, psi, s0)
+        assert residues == {0, 1, 2, 3} and negative
+
+    def test_pair_factor(self):
+        rng = random.Random(12)
+        residues, negative = set(), False
+        for _ in range(30):
+            p1 = random_parameter(rng, rng.randint(1, 4))
+            p2 = random_parameter(rng, rng.randint(1, 4))
+            pairs = [a * b for a in p1.chars for b in p2.chars]
+            residues.add(sum(abs(c.m) for c in pairs) % 4)
+            negative = negative or sum(c.m for c in pairs) < 0
+            for psi in TWISTS:
+                assert eps_pair(p1, p2, psi) == product_oracle(pairs, psi, HALF)
+        assert residues == {0, 1, 2, 3} and negative
+
+    def test_character_factor(self):
+        for m in range(-5, 6):
+            c = kappa(m, "2/3", "-1/2")
+            for psi in TWISTS:
+                for s0 in POINTS:
+                    assert eps_character(c, psi, s0) == product_oracle([c], psi, s0)
+
+
 class TestExactEps:
     def test_mismatched_twists_refuse_multiplication(self):
         with pytest.raises(ValueError):
@@ -174,6 +232,26 @@ class TestExactEps:
             eps_pair(param(kappa(300)), param(kappa(300)), psi_one)
         with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
             eps_rep(param(kappa(0, "1/%d" % (10**300 + 1))), PSI_I)
+
+    def test_size_cap_takes_no_power_first(self, monkeypatch):
+        def refuse(self, exponent):
+            raise AssertionError("a power was taken before the size check")
+
+        monkeypatch.setattr(GaussianRational, "__pow__", refuse)
+        psi_one = AdditiveCharacterSpec(gq(1))
+        with pytest.raises(AssertionError):
+            eps_rep(param(kappa(453)), psi_one)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_rep(param(kappa(454)), psi_one)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_character(kappa(454), psi_one, HALF)
+        with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
+            eps_pair(param(kappa(300)), param(kappa(300)), psi_one)
+
+    def test_exact_value_is_computed_once(self):
+        eps = eps_rep(param(kappa(1, "1"), kappa(1, "1")), PSI_2I)
+        assert eps.exact_value() == gq(16) and eps.is_one() is False
+        assert eps.exact_value() is eps.exact_value()
 
     def test_zero_twist_rejected(self):
         with pytest.raises(ValueError):

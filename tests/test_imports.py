@@ -105,6 +105,35 @@ def test_no_module_imports_numpy():
     assert [path.name for path in MODULES if "numpy" in imported_modules(path.read_text(encoding="utf-8"))] == []
 
 
+def indented_json_calls(source: str) -> list:
+    """Lines that call a ``dump`` or ``dumps`` with an ``indent`` argument.
+    CPython's json encodes in C only when indent is None; with an indent it
+    runs its pure-Python encoder."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detects_an_indented_json_call():
+    source = (
+        "import json\nfrom json import dump\n"
+        "json.dumps(x, indent=2)\ndump(x, f, indent=None)\njson.dumps(x)\nprint(x, indent=2)\n"
+    )
+    assert indented_json_calls(source) == [3, 4]
+
+
+def test_no_module_encodes_json_with_indent():
+    # Reports are written by cli's own writer, byte-identical to
+    # json.dumps(indent=2) and several times faster.
+    found = {path.name: indented_json_calls(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -193,9 +222,23 @@ def test_detects_an_unread_public_name():
     assert unread_public_names({"m": module}, [reader]) == ["m.Parser.unread", "m.recursive"]
 
 
+def tracer_spans() -> list:
+    """The (module, function) pairs that ``perfbench/tracer.py`` wraps by
+    name, read from its ``SPANS``."""
+    tracer = ast.parse((BENCH_DIR / "tracer.py").read_text(encoding="utf-8"))
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "SPANS"
+    ]
+    return list(spans)
+
+
 def test_every_public_name_has_a_reader():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = [path.read_text(encoding="utf-8") for path in BENCH if path.name != "test_checks.py"]
+    # The tracer reads each span with getattr; written out, that is module.function.
+    readers.append("\n".join(f"{module}.{fn}" for module, fn in tracer_spans()))
     assert unread_public_names(sources, readers) == []
 
 
@@ -269,13 +312,7 @@ def test_benchmark_hooks_resolve():
     # The benchmark reaches into glcdist by name: the tracer wraps each of
     # its SPANS, and the workloads call module attributes.  A rename here
     # would break ``perfbench/run.py --trace`` or a workload only at run time.
-    tracer = ast.parse((BENCH_DIR / "tracer.py").read_text(encoding="utf-8"))
-    (spans,) = [
-        ast.literal_eval(node.value)
-        for node in tracer.body
-        if isinstance(node, ast.AnnAssign) and node.target.id == "SPANS"
-    ]
-    assert unresolved((f"glcdist.{module}", fn) for module, fn in spans) == []
+    assert unresolved((f"glcdist.{module}", fn) for module, fn in tracer_spans()) == []
     loads = {load for path in BENCH for load in glcdist_loads(path.read_text(encoding="utf-8"))}
     assert {
         ("glcdist.kernelnum", "case1_displayed_form"),
