@@ -27,8 +27,9 @@ subalgebra p, real form h), whose spanning matrices are rows and columns of
 g_w copied into place.
 
 This module decides how a complex matrix is represented: a tuple of rows of
-Gaussian integers, and, for ``exactnum.real_rank``, its 2n^2 integer
-coordinates.  Nothing here inverts or multiplies matrices.
+Gaussian integers; for ``exactnum.real_rank``, its 2n^2 integer
+coordinates; and, for the invertibility check by ``exactnum.integer_rank``,
+its 2n-by-2n real form.  Nothing here inverts or multiplies matrices.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 from .errors import PreconditionError
-from .exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, real_rank
+from .exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, integer_rank, real_rank
 
 _MAX_ENUM_N = 10
 _MAX_CLASS_N = 8
@@ -162,16 +163,19 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
 
     Stated without an inverse, this is g = (w t) conj(g) with g invertible:
     row w(j) of g is a multiple of conj(row j of g) for every j.  g is
-    invertible iff the 2n matrices that hold column k of g, or sqrt(-1)
-    times it, in their first column span a real space of dimension 2n.
+    invertible iff column k of g and sqrt(-1) times it, over all k, span
+    R^2n: the 2n integer rows (Re col_k, Im col_k) and (-Im col_k, Re col_k)
+    of the realification have rank 2n.
     """
     n = w.n
     z = _integer_pairs(g)
-    columns = []
+    rows = []
     for k in range(n):
-        columns.append(_matrix(n, (((a, 0), z[a][k]) for a in range(n))))
-        columns.append(_matrix(n, (((a, 0), _times_i(z[a][k])) for a in range(n))))
-    if real_rank(columns, n) != 2 * n:
+        re = [z[a][k][0] for a in range(n)]
+        im = [z[a][k][1] for a in range(n)]
+        rows.append(re + im)
+        rows.append([-x for x in im] + re)
+    if integer_rank(rows) != 2 * n:
         return False
     for j in range(n):
         u = z[w(j + 1) - 1]

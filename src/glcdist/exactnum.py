@@ -3,12 +3,12 @@
 All scalars used by the classification and coset machinery live here: plain
 rationals are ``fractions.Fraction`` (already canonical: lowest terms,
 positive denominator, arbitrary precision) and a Gaussian rational is a pair
-of Fractions.  The one non-trivial operation is ``real_rank``, which takes
-complex n-by-n matrices as real 2n^2-dimensional integer vectors and
-computes their rank over Q by fraction-free (Bareiss) elimination; how a
-matrix becomes such a vector is decided by its caller (``cosets``).  Exact
-input from outside the program is read here too, by ``read_int`` and
-``read_rational``.
+of Fractions.  The one non-trivial operation is ``integer_rank``, the rank
+over Q of integer rows by fraction-free (Bareiss) elimination;
+``real_rank`` applies it to complex n-by-n matrices taken as real
+2n^2-dimensional integer vectors.  How a matrix becomes integer rows is
+decided by the caller (``cosets``).  Exact input from outside the program
+is read here too, by ``read_int`` and ``read_rational``.
 
 Everything is immutable after construction and every function is pure.
 """
@@ -186,13 +186,15 @@ GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
 
 
-def _bareiss_rank(rows: list) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of a matrix given by integer rows, by fraction-free
+    (Bareiss) elimination on a copy: the argument is left unchanged.
 
     Divisions are exact by the Sylvester identity; intermediates stay as
     minors of the original matrix, so there is no coefficient explosion
     beyond determinant size.
     """
+    rows = [list(row) for row in rows]
     if not rows:
         return 0
     m, n = len(rows), len(rows[0])
@@ -224,8 +226,8 @@ def real_rank(vectors: Iterable[Sequence[int]], n: int) -> int:
     for a vector of any other length.
     """
     size = 2 * n * n
-    rows = [list(v) for v in vectors]
+    rows = list(vectors)
     for row in rows:
         if len(row) != size:
             raise ValueError(f"expected the {size} coordinates of a {n}x{n} matrix, got {len(row)}")
-    return _bareiss_rank(rows)
+    return integer_rank(rows)

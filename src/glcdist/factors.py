@@ -76,15 +76,6 @@ class ExactEps:
     abs_b_sq: Fraction
     modulus_exponent: GaussianRational
 
-    def __mul__(self, other: "ExactEps") -> "ExactEps":
-        if self.abs_b_sq != other.abs_b_sq:
-            raise ValueError("cannot multiply factors over different twists")
-        return ExactEps(
-            self.unit * other.unit,
-            self.abs_b_sq,
-            self.modulus_exponent + other.modulus_exponent,
-        )
-
     @cached_property
     def _exact(self) -> Optional[GaussianRational]:
         e = self.modulus_exponent

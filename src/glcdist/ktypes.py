@@ -8,13 +8,13 @@ weight, a weakly decreasing integer n-tuple.  This module provides:
     of its distinguished minimal K-type (each odd entry value of even
     multiplicity 2c is replaced by c copies of value+1 and c of value-1),
 *   an independent brute-force oracle for the distinguished minimal K-type,
-    backed by exact weight multiplicities (Kostant partition function with
-    Weyl alternation).
+    backed by exact weight multiplicities (counts of Gelfand-Tsetlin
+    patterns).
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import accumulate, islice
 from math import isqrt
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
@@ -111,99 +111,45 @@ def distinguished_minimal_ktype(p: LanglandsParameter) -> HighestWeight:
 
 # -- exact weight multiplicities --------------------------------------------
 
-_KOSTANT_MEMO: Dict[tuple, int] = {}
-
-
-def _kostant(beta: Tuple[int, ...]) -> int:
-    """Number of ways to write beta as a nonnegative integer combination of
-    the positive roots e_i - e_j (i < j)."""
-    n = len(beta)
-    if sum(beta) != 0:
-        return 0
-    roots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def rec(vec: Tuple[int, ...], idx: int) -> int:
-        if all(x == 0 for x in vec):
-            return 1
-        if idx == len(roots):
-            return 0
-        key = (vec, idx)
-        cached = _KOSTANT_MEMO.get(key)
-        if cached is not None:
-            return cached
-        i, j = roots[idx]
-        # Subtracting c*(e_i - e_j) lowers the prefix sums over [i, j-1] by
-        # c; every nonnegative root combination has nonnegative prefix sums,
-        # so c is bounded by their minimum on that window.
-        prefix = 0
-        bound = None
-        for l in range(j):
-            prefix += vec[l]
-            if l >= i:
-                bound = prefix if bound is None else min(bound, prefix)
-        total = 0
-        if bound is not None and bound >= 0:
-            lst = list(vec)
-            for c in range(0, bound + 1):
-                lst[i] = vec[i] - c
-                lst[j] = vec[j] + c
-                total += rec(tuple(lst), idx + 1)
-        _KOSTANT_MEMO[key] = total
-        return total
-
-    return rec(tuple(beta), 0)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
 
 def weight_multiplicity(mu, nu: Sequence[int]) -> int:
     """Dimension of the nu-weight space of the irreducible with highest
-    weight mu, by Kostant's multiplicity formula.
+    weight mu: the number of Gelfand-Tsetlin patterns with top row mu whose
+    row k sums to nu_1 + ... + nu_k (Gelfand-Tsetlin 1950).
 
-    mult(nu) = sum over the Weyl group of sgn(w) * K(w(mu+rho) - (nu+rho)),
-    with rho = (n-1, n-2, ..., 0) and K the partition count over positive
-    roots.
+    Row k-1 of a pattern interlaces row k: row[i+1] <= next[i] <= row[i].
+    The count under each row is memoised for the length of this call only.
     """
     mu = HighestWeight.of(mu)
     nu = tuple(int(x) for x in nu)
-    n = len(mu)
-    if len(nu) != n:
+    if len(nu) != len(mu):
         raise ValueError("weight length mismatch")
     if sum(mu) != sum(nu):
         return 0
-    rho = tuple(range(n - 1, -1, -1))
-    shifted = tuple(m + r for m, r in zip(mu, rho))
-    target = tuple(v + r for v, r in zip(nu, rho))
-    total = 0
-    for perm in permutations(range(n)):
-        moved = tuple(shifted[perm[i]] for i in range(n))
-        beta = tuple(a - b for a, b in zip(moved, target))
-        if any(x < 0 for x in _prefix_sums(beta)):
-            continue
-        total += _perm_sign(perm) * _kostant(beta)
-    return total
+    sums = list(accumulate(nu))
+    memo: Dict[Tuple[int, ...], int] = {}
 
+    def below(row: Tuple[int, ...]) -> int:
+        k = len(row) - 1
+        if k == 0:
+            return 1
+        if row in memo:
+            return memo[row]
 
-def _prefix_sums(vec: Sequence[int]):
-    acc = 0
-    for x in vec:
-        acc += x
-        yield acc
+        def fill(prefix: Tuple[int, ...], rest: int) -> int:
+            # Entry i runs only over values the later entries, each between
+            # row[j+1] and row[j], can complete to the row sum.
+            i = len(prefix)
+            if i == k:
+                return below(prefix)
+            lo = max(row[i + 1], rest - sum(row[i + 1 : k]))
+            hi = min(row[i], rest - sum(row[i + 2 :]))
+            return sum(fill(prefix + (v,), rest - v) for v in range(lo, hi + 1))
+
+        memo[row] = fill((), sums[k - 1])
+        return memo[row]
+
+    return below(mu.entries)
 
 
 def _even_dominant_weights(n: int, radius: int, total: int):
@@ -240,9 +186,10 @@ def _even_dominant_weights(n: int, radius: int, total: int):
         yield from rec([], radius * radius, total)
 
 
-# Caps on the oracle's work: each candidate costs a Weyl sum of n! terms, and
-# the candidates grow fast with the radius (n = 6: 49 at radius 10, 99,650 at
-# radius 60).  Criterion 5 (n <= 3, radius 8) stays well inside both.
+# Caps on the oracle's work: the candidates grow fast with the radius (n = 6:
+# 49 at radius 10, 99,650 at radius 60), and each costs a pattern count whose
+# rows grow with n and with the spread of the candidate's entries.
+# Criterion 5 (n <= 4, radius 8) stays well inside both.
 ORACLE_MAX_RANK = 6
 ORACLE_MAX_CANDIDATES = 64
 

@@ -157,9 +157,6 @@ class CharacterCx(_Keyed):
             object.__setattr__(self, "_partner", partner)
             return partner
 
-    def __mul__(self, other: "CharacterCx") -> "CharacterCx":
-        return CharacterCx(self.m + other.m, self.s + other.s)
-
     def to_json(self) -> dict:
         return {"m": self.m, "s": self.s.to_json()}
 

@@ -215,7 +215,7 @@ def criterion_5_ktype_oracle() -> Tuple[bool, str]:
         for s in slots
     ]
     checked = 0
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         for combo in combinations_with_replacement(grid, size):
             p = LanglandsParameter(combo)
             if not check_condition_i(p)[0]:

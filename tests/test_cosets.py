@@ -135,6 +135,15 @@ class TestRepresentatives:
         with pytest.raises(ValueError):
             in_torus_translate(gaussian_rows([["1/2", 0], [0, 1]]), w)
 
+    def test_check_rejects_singular_complex_matrices(self):
+        # Each row is sqrt(-1) times its conjugate, or real, so only the
+        # rank of the realification rejects these.
+        identity = Involution((1, 2))
+        one_plus_i = GaussianRational(1, 1)
+        two = GaussianRational(2)
+        assert not in_torus_translate(((one_plus_i, one_plus_i), (two, two)), identity)
+        assert in_torus_translate(((one_plus_i, GQ_ZERO), (GQ_ZERO, two)), identity)
+
     def test_verification_examples(self):
         assert verify_representative(Involution((1, 2)))
         assert verify_representative(Involution((2, 1)))

@@ -8,6 +8,7 @@ from glcdist.exactnum import (
     GQ_I,
     GQ_ONE,
     GaussianRational,
+    integer_rank,
     read_int,
     read_rational,
     real_rank,
@@ -107,6 +108,37 @@ def unit(n, i, j, re=1, im=0):
 
 def identity(n, re=1, im=0):
     return [sum(col) for col in zip(*(unit(n, k, k, re, im) for k in range(n)))]
+
+
+class TestIntegerRank:
+    def test_small_matrices(self):
+        assert integer_rank([]) == 0
+        assert integer_rank([[0, 0], [0, 0]]) == 0
+        assert integer_rank([[1, 2], [2, 4]]) == 1
+        assert integer_rank([[0, 1], [1, 0]]) == 2
+        assert integer_rank([[2, 3, 5], [4, 6, 10], [1, 0, 7]]) == 2
+
+    def test_argument_is_left_unchanged(self):
+        rows = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]
+        copy = [row[:] for row in rows]
+        assert integer_rank(rows) == 3
+        assert rows == copy
+
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=5))
+    def test_matches_rank_over_the_rationals(self, rows):
+        # Gaussian elimination in Fractions as the independent reference.
+        work = [[Fraction(x) for x in row] for row in rows]
+        rank = 0
+        for col in range(3):
+            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+            if pivot is None:
+                continue
+            work[rank], work[pivot] = work[pivot], work[rank]
+            for r in range(rank + 1, len(work)):
+                factor = work[r][col] / work[rank][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+            rank += 1
+        assert integer_rank(rows) == rank
 
 
 class TestRealRank:

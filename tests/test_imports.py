@@ -1,6 +1,7 @@
 """No module of the package imports a name it does not use, defines a
-private module-level name that it never reads, or defines a public name that
-nothing outside the tests reads.
+private module-level name that it never reads, defines a public name that
+nothing outside the tests reads, or binds a module-level name to an empty
+container.
 
 No linter ships with the test dependencies, so this is checked from the
 syntax tree.  An import kept on purpose for other modules to read carries
@@ -85,6 +86,55 @@ def test_detects_an_unused_private_name():
 @pytest.mark.parametrize("path", LINTED, ids=LINTED_IDS)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+EMPTY_CALLS = ("dict", "list", "set")
+
+
+def module_level_memos(source: str) -> list:
+    """Module-level names bound to an empty ``{}``, ``[]``, ``dict()``,
+    ``list()`` or ``set()``: a container that fills as the program runs and
+    is never freed."""
+    found = []
+    for node in ast.parse(source).body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in EMPTY_CALLS
+                and not value.args
+                and not value.keywords
+            )
+        )
+        if empty:
+            found += [f"{name} (line {node.lineno})" for name in assigned_names(node)]
+    return found
+
+
+def test_detects_a_module_level_memo():
+    source = (
+        "_MEMO: dict = {}\nseen = []\nA = B = set()\nc = dict()\nd = list()\n"
+        "TABLE = {1: 2}\nNAMES = [\"x\"]\nUNIQUE = set(NAMES)\nE = frozenset()\n"
+        "def f():\n    local = {}\n    return local\n"
+    )
+    assert module_level_memos(source) == [
+        "_MEMO (line 1)",
+        "seen (line 2)",
+        "A (line 3)",
+        "B (line 3)",
+        "c (line 4)",
+        "d (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_level_memo(path):
+    # A cache lives as long as the call that fills it, or has a stated bound
+    # (functools.lru_cache with a maxsize, or a domain capped by a constant).
+    assert module_level_memos(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(source: str) -> set:

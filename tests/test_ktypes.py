@@ -34,6 +34,46 @@ def param(*chars):
     return LanglandsParameter(chars)
 
 
+def kostant_multiplicity(mu, nu, memo):
+    """Reference weight multiplicity by Kostant's formula, independent of the
+    pattern count: the sum over permutations w of sgn(w) K(w(mu+rho) -
+    (nu+rho)), with rho = (n-1, ..., 0) and K the number of ways to write a
+    vector as a nonnegative integer combination of the positive roots
+    e_i - e_j (i < j).  ``memo`` holds the partition counts across calls."""
+    n = len(mu)
+    if sum(mu) != sum(nu):
+        return 0
+    roots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def partitions(vec, idx):
+        if not any(vec):
+            return 1
+        if idx == len(roots):
+            return 0
+        key = (vec, idx)
+        if key not in memo:
+            i, j = roots[idx]
+            # Subtracting c*(e_i - e_j) lowers the prefix sums over [i, j-1]
+            # by c, and those of a nonnegative root combination are >= 0.
+            bound = min(list(itertools.accumulate(vec[:j]))[i:])
+            total = 0
+            lst = list(vec)
+            for c in range(bound + 1):
+                lst[i], lst[j] = vec[i] - c, vec[j] + c
+                total += partitions(tuple(lst), idx + 1)
+            memo[key] = total
+        return memo[key]
+
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        beta = tuple(mu[perm[i]] + n - 1 - perm[i] - (nu[i] + n - 1 - i) for i in range(n))
+        if min(itertools.accumulate(beta)) < 0:
+            continue
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        total += (-1) ** inversions * partitions(beta, 0)
+    return total
+
+
 class TestBasics:
     def test_evenness(self):
         assert is_o_distinguished((2, 2, 0))
@@ -122,32 +162,8 @@ class TestWeightMultiplicity:
         with pytest.raises(ValueError):
             weight_multiplicity((1, 0), (1, 0, 0))
 
-    def test_against_pattern_count(self):
-        # Independent route: the weight multiplicity equals the number of
-        # triangular interlacing patterns whose row sums step by the weight.
-        def patterns(top, weight):
-            def rec(row, sums_left):
-                if len(row) == 1:
-                    return 1 if row[0] == sums_left[0] else 0
-                total = 0
-                lo_hi = list(zip(row[1:], row[:-1]))
-
-                def build(next_row, idx):
-                    if idx == len(lo_hi):
-                        if sum(row) - sum(next_row) == sums_left[-1]:
-                            return rec(tuple(next_row), sums_left[:-1])
-                        return 0
-                    lo, hi = lo_hi[idx]
-                    acc = 0
-                    for v in range(lo, hi + 1):
-                        acc += build(next_row + [v], idx + 1)
-                    return acc
-
-                total += build([], 0)
-                return total
-
-            return rec(tuple(top), tuple(weight))
-
+    def test_named_cases_against_kostant(self):
+        memo = {}
         cases = [
             ((2, 0), (1, 1)),
             ((2, 1, 0), (1, 1, 1)),
@@ -156,7 +172,24 @@ class TestWeightMultiplicity:
             ((2, 2, 0), (2, 1, 1)),
         ]
         for mu, nu in cases:
-            assert weight_multiplicity(mu, nu) == patterns(mu, nu), (mu, nu)
+            assert weight_multiplicity(mu, nu) == kostant_multiplicity(mu, nu, memo), (mu, nu)
+
+    def test_exhaustive_grid_against_kostant(self):
+        # Every dominant mu with entries in -3..3 for n <= 3 and -2..2 for
+        # n = 4, against every nu in the same box: 73,983 pairs.
+        memo = {}
+        pairs = positive = 0
+        for n, low, high in ((1, -3, 3), (2, -3, 3), (3, -3, 3), (4, -2, 2)):
+            box = range(low, high + 1)
+            for mu in itertools.product(box, repeat=n):
+                if any(a < b for a, b in zip(mu, mu[1:])):
+                    continue
+                for nu in itertools.product(box, repeat=n):
+                    got = weight_multiplicity(mu, nu)
+                    assert got == kostant_multiplicity(mu, nu, memo), (mu, nu)
+                    pairs += 1
+                    positive += got > 0
+        assert pairs == 73983 and positive > 1000
 
 
 class TestOracle:
@@ -167,6 +200,10 @@ class TestOracle:
         assert minimal_distinguished_ktype_oracle(p0, 2) == {HighestWeight((0, 0))}
         p2 = param(kappa(2), kappa(0))
         assert minimal_distinguished_ktype_oracle(p2, 4) == {HighestWeight((2, 0))}
+
+    def test_rank_six(self):
+        six = param(*(kappa(1, f"{sign * k}/7") for k in (1, 2, 3) for sign in (1, -1)))
+        assert minimal_distinguished_ktype_oracle(six, 11) == {HighestWeight((2, 2, 2, 0, 0, 0))}
 
     def test_radius_precondition(self):
         with pytest.raises(ValueError):
@@ -180,8 +217,8 @@ class TestOracle:
             minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), 10**9)
 
     def test_work_caps(self):
-        # Both caps are checked before any Weyl sum, and a huge radius costs
-        # no more than a small one.
+        # Both caps are checked before any multiplicity is counted, and a
+        # huge radius costs no more than a small one.
         six = param(*(kappa(m) for m in (1, 1, 2, 0, 0, -2)))
         for radius in (60, 10**9):
             with pytest.raises(PreconditionError, match=f"at most {ORACLE_MAX_CANDIDATES}"):

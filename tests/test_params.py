@@ -197,17 +197,6 @@ class TestCharacterOps:
     def test_conj_inverse_is_involution(self, c):
         assert c.conj_inverse().conj_inverse() == c
 
-    def test_product_examples(self):
-        assert kappa(1, "1/2") * kappa(1, "-1/2") == kappa(2, 0)
-        assert kappa(0, 0) * kappa(3, "1/7") == kappa(3, "1/7")
-        assert kappa(-1, 0, 1) * kappa(1, 0, -1) == kappa(0, 0)
-
-    @given(characters, characters, characters)
-    def test_product_monoid(self, a, b, c):
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert kappa(0, 0) * a == a
-
 
 class TestParameter:
     def test_multiset_equality(self):
