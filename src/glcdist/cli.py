@@ -37,7 +37,7 @@ from .cosets import (
     class_dimensions,
     enumerate_involutions,
     parabolic_classes,
-    verify_representative,
+    representatives_verified,
 )
 from .derivatives import MonomialRep, derivative_stages, necessity_verdict
 from .distinction import (
@@ -346,11 +346,7 @@ def cmd_eps(args) -> int:
 def cmd_cosets(args) -> int:
     involutions = enumerate_involutions(args.n)
     inputs = {"n": args.n}
-    # Exact verification of all representatives is cheap up to 7 letters;
-    # beyond that it is skipped (reported as null).
-    verified = (
-        all(verify_representative(w) for w in involutions) if args.n <= 7 else None
-    )
+    verified = representatives_verified(args.n)
     results = {
         "count": len(involutions),
         "involutions": [w.to_json() for w in involutions],
@@ -363,7 +359,7 @@ def cmd_cosets(args) -> int:
         comp = Composition(parts)
         if comp.n != args.n:
             raise InputError(f"--comp {args.comp} does not sum to n = {args.n}")
-        classes = parabolic_classes(args.n, comp)
+        classes = parabolic_classes(comp)
         dims = class_dimensions(classes)
         full = 2 * args.n * args.n
         results["composition"] = list(parts)

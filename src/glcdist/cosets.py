@@ -26,23 +26,25 @@ the exact real rank of the tangent space p g_w + g_w h (parabolic
 subalgebra p, real form h), whose spanning matrices are rows and columns of
 g_w copied into place.
 
-This module decides how a complex matrix is represented: a tuple of rows of
-Gaussian integers; for ``exactnum.real_rank``, its 2n^2 integer
-coordinates; and, for the invertibility check by ``exactnum.integer_rank``,
-its 2n-by-2n real form.  Nothing here inverts or multiplies matrices.
+Every matrix here has Gaussian-integer entries, each an (re, im) pair of
+ints, and is given as a tuple of rows.  ``exactnum.real_rank`` takes its
+2n^2 integer coordinates and the invertibility check by
+``exactnum.integer_rank`` its 2n-by-2n real form.  Nothing here inverts or
+multiplies matrices.  ``representatives_verified`` checks all g_w on n
+letters once per process, up to _MAX_VERIFY_N letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, integer_rank, real_rank
+from .exactnum import integer_rank, real_rank
 
 _MAX_ENUM_N = 10
-_MAX_CLASS_N = 8
+_MAX_VERIFY_N = 7
 
 
 @dataclass(frozen=True)
@@ -78,63 +80,49 @@ class Involution:
     def __repr__(self):
         return f"Involution{self.perm}"
 
-    @classmethod
-    def from_transpositions(cls, n: int, swaps: Iterable[Tuple[int, int]]) -> "Involution":
-        perm = list(range(1, n + 1))
-        for k, l in swaps:
-            perm[k - 1], perm[l - 1] = l, k
-        return cls(tuple(perm))
-
 
 @lru_cache(maxsize=None)
 def enumerate_involutions(n: int) -> Tuple[Involution, ...]:
-    """All involutions of {1..n}, sorted by one-line notation.
+    """All involutions of {1..n}, in the order of their one-line notation.
 
-    The count obeys T(n) = T(n-1) + (n-1) T(n-2).  Each n is built once
-    (n is capped at _MAX_ENUM_N, so the cache holds at most that many
-    tuples).
+    The smallest unassigned point is fixed first, then swapped with each
+    larger unassigned point in ascending order, which is that order.  The
+    count obeys T(n) = T(n-1) + (n-1) T(n-2).  Each n is built once (n is
+    capped at _MAX_ENUM_N, so the cache holds at most that many tuples).
     """
     if not 1 <= n <= _MAX_ENUM_N:
         raise PreconditionError(f"n must lie in 1..{_MAX_ENUM_N}, got {n}")
+    perm = list(range(1, n + 1))
+    out = []
 
-    def build(points: tuple) -> List[tuple]:
-        if not points:
-            return [()]
-        last = points[-1]
-        out = [pairs for pairs in build(points[:-1])]
-        for idx in range(len(points) - 1):
-            rest = points[:idx] + points[idx + 1 : -1]
-            out.extend(pairs + ((points[idx], last),) for pairs in build(rest))
-        return out
+    def build(free: tuple) -> None:
+        if not free:
+            out.append(Involution(tuple(perm)))
+            return
+        p, rest = free[0], free[1:]
+        build(rest)
+        for idx, q in enumerate(rest):
+            perm[p - 1], perm[q - 1] = q, p
+            build(rest[:idx] + rest[idx + 1 :])
+            perm[p - 1], perm[q - 1] = p, q
 
-    invs = [
-        Involution.from_transpositions(n, pairs)
-        for pairs in build(tuple(range(1, n + 1)))
-    ]
-    invs.sort(key=lambda w: w.perm)
-    return tuple(invs)
+    build(tuple(perm))
+    return tuple(out)
 
 
-Matrix = Tuple[Tuple[GaussianRational, ...], ...]
 Pair = Tuple[int, int]
+Matrix = Tuple[Tuple[Pair, ...], ...]
 
 
 def representative(w: Involution) -> Matrix:
-    """The explicit representative g_w, as n rows: the identity, with entries
-    (k,k)=(l,l)=1 and (k,l)=(l,k)=sqrt(-1) for each transposition (k,l)."""
+    """The explicit representative g_w, as n rows of (re, im) pairs: the
+    identity, with entries (k,k)=(l,l)=1 and (k,l)=(l,k)=sqrt(-1) for each
+    transposition (k,l)."""
     n = w.n
-    rows = [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
+    rows = [[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
     for k, l in w.transpositions():
-        rows[k - 1][l - 1] = GQ_I
-        rows[l - 1][k - 1] = GQ_I
+        rows[k - 1][l - 1] = rows[l - 1][k - 1] = (0, 1)
     return tuple(tuple(row) for row in rows)
-
-
-def _integer_pairs(g: Matrix) -> List[List[Pair]]:
-    """The entries of a Gaussian-integer matrix as (re, im) integer pairs."""
-    if any(x.re.denominator != 1 or x.im.denominator != 1 for row in g for x in row):
-        raise ValueError("expected a matrix of Gaussian integers")
-    return [[(int(x.re), int(x.im)) for x in row] for row in g]
 
 
 def _times_i(z: Pair) -> Pair:
@@ -168,18 +156,17 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
     of the realification have rank 2n.
     """
     n = w.n
-    z = _integer_pairs(g)
     rows = []
     for k in range(n):
-        re = [z[a][k][0] for a in range(n)]
-        im = [z[a][k][1] for a in range(n)]
+        re = [g[a][k][0] for a in range(n)]
+        im = [g[a][k][1] for a in range(n)]
         rows.append(re + im)
         rows.append([-x for x in im] + re)
     if integer_rank(rows) != 2 * n:
         return False
     for j in range(n):
-        u = z[w(j + 1) - 1]
-        v = [(re, -im) for re, im in z[j]]
+        u = g[w(j + 1) - 1]
+        v = [(re, -im) for re, im in g[j]]
         # u is a multiple of v != 0 iff every 2x2 minor of (u; v) vanishes.
         if any(
             _mul(u[a], v[b]) != _mul(u[b], v[a])
@@ -193,6 +180,18 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
 def verify_representative(w: Involution) -> bool:
     """Check exactly that g_w conj(g_w)^{-1} lies in w T."""
     return in_torus_translate(representative(w), w)
+
+
+@lru_cache(maxsize=None)
+def representatives_verified(n: int) -> Optional[bool]:
+    """Whether every representative g_w on n letters passes
+    ``verify_representative``, or None past _MAX_VERIFY_N letters, where the
+    check is skipped.  A bad n raises before anything is cached, so the
+    cache holds at most _MAX_ENUM_N answers."""
+    involutions = enumerate_involutions(n)
+    if n > _MAX_VERIFY_N:
+        return None
+    return all(verify_representative(w) for w in involutions)
 
 
 @dataclass(frozen=True)
@@ -219,22 +218,18 @@ class Composition:
         return out
 
 
-def parabolic_classes(n: int, comp: Composition) -> List[List[Involution]]:
+def parabolic_classes(comp: Composition) -> List[List[Involution]]:
     """Partition the involutions into Young-subgroup double cosets.
 
     Two involutions are equivalent iff one is sigma w sigma' for sigma,
     sigma' in the Young subgroup of ``comp``, that is iff their block-count
     matrices agree (the sorted pairs (block of i, block of w(i))).  Classes
     are sorted by, and listed with, their lexicographically minimal member
-    first.
+    first.  Only n = comp.n is bounded, by ``enumerate_involutions``.
     """
-    if comp.n != n:
-        raise PreconditionError("composition must sum to n")
-    if n > _MAX_CLASS_N:
-        raise PreconditionError(f"parabolic classes supported for n <= {_MAX_CLASS_N}")
     block = comp.block_of()
     classes: dict = {}
-    for w in enumerate_involutions(n):
+    for w in enumerate_involutions(comp.n):
         key = tuple(sorted((block[i], block[j - 1]) for i, j in enumerate(w.perm)))
         classes.setdefault(key, []).append(w)
     return list(classes.values())
@@ -254,7 +249,7 @@ def orbit_dimension(w: Involution, comp: Composition) -> int:
     n = w.n
     if comp.n != n:
         raise PreconditionError("composition must sum to n")
-    z = _integer_pairs(representative(w))
+    z = representative(w)
     block = comp.block_of()
     vectors = []
     for i in range(n):

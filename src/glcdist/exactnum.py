@@ -69,14 +69,6 @@ class GaussianRational:
         object.__setattr__(self, "re", re if isinstance(re, Fraction) else read_rational(re))
         object.__setattr__(self, "im", im if isinstance(im, Fraction) else read_rational(im))
 
-    def __hash__(self) -> int:
-        # hash((re, im)), computed on first use: most values are never hashed.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.re, self.im)))
-            return self._hash
-
     # -- field operations -------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -90,9 +82,6 @@ class GaussianRational:
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         other = _coerce(other)
@@ -109,12 +98,6 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other) -> "GaussianRational":
-        return self * _coerce(other).inv()
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return _coerce(other) * self.inv()
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         """Integer power by repeated squaring: O(log |exponent|) products."""
@@ -181,7 +164,6 @@ def _coerce(value) -> GaussianRational:
     raise TypeError(f"cannot coerce {value!r} into Q(i)")
 
 
-GQ_ZERO = GaussianRational(0)
 GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
 

@@ -9,9 +9,10 @@ with B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b) (DLMF 5.12.3), integrated
 numerically by ``_radial_moment``.  It folds (1, inf) onto (0, 1] by
 r -> 1/r, written into the integrand in closed form, so it is one
 finite-interval integral with no cutoff and no extrapolation, and it first
-substitutes r = x^q with q = 1/min(Re c + 1, Re(2a - c) - 1), which makes
-the power of x at 0 non-negative in both halves of the fold; the integrand
-is evaluated in log space, so no value overflows.  Through it:
+substitutes r = x^q with q = 1/min(Re c + 1, Re(2a - c) - 1, 1), which
+makes the power of x at 0 non-negative in both halves of the fold; q >= 1
+keeps the factor (1 + x^(2q))^-a smooth at 0.  The integrand is evaluated
+in log space, so no value overflows.  Through it:
 
 - the angular moment A(p), the integral of |sin t|^p over one period, is
   4 M(p/2 + 1, p): t = arctan r on each quarter period;
@@ -226,11 +227,12 @@ def _radial_moment(a: complex, c: complex, cfg: QuadratureConfig) -> complex:
     q x^(q(c+1) - 1) (1+x^(2q))^-a, and the fold x -> 1/x maps its part
     over (1, inf) to q x^(q(2a-c-1) - 1) (1+x^(2q))^-a on (0, 1]; M is the
     integral of the sum of the two over (0, 1].  The choice of q makes both
-    powers of x at 0 non-negative in real part."""
+    powers of x at 0 non-negative in real part, and q >= 1 keeps
+    (1+x^(2q))^-a smooth at 0."""
     at_zero, at_inf = c.real + 1.0, (2.0 * a - c).real - 1.0
     if not (at_zero > 0.0 and at_inf > 0.0):
         raise PreconditionError(f"M(a, c) needs Re c > -1 and Re(2a - c) > 1; got a = {a}, c = {c}")
-    q = 1.0 / min(at_zero, at_inf)
+    q = 1.0 / min(at_zero, at_inf, 1.0)
     near, far = q * (c + 1.0) - 1.0, q * (2.0 * a - c - 1.0) - 1.0
 
     def folded(x):

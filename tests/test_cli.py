@@ -173,6 +173,13 @@ class TestCosets:
         code, report = run_json(capsys, "cosets", "--n", "8", "--comp", "1,1,1,1,1,1,1,1")
         assert code == 0 and report["results"]["open_classes"] == 1
 
+    def test_borel_composition_of_ten(self, capsys):
+        code, report = run_json(capsys, "cosets", "--n", "10", "--comp", ",".join(["1"] * 10))
+        assert code == 0
+        assert len(report["results"]["classes"]) == 9496
+        assert report["results"]["open_classes"] == 1
+        assert report["results"]["representatives_verified"] is None
+
     def test_composition_mismatch(self, capsys):
         code = main(["cosets", "--n", "4", "--comp", "2,1"])
         capsys.readouterr()
@@ -379,7 +386,7 @@ BAD_INPUTS = [
     (["cosets", "--n", "4", "--comp", "0,4"], 2),
     (["cosets", "--n", "4", "--comp", "2,x"], 1),
     (["cosets", "--n", "4", "--comp", "2.0,2"], 1),
-    (["cosets", "--n", "9", "--comp", "1,1,1,1,1,1,1,1,1"], 2),
+    (["cosets", "--n", "11", "--comp", "1,1,1,1,1,1,1,1,1,1,1"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
     (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),
@@ -488,6 +495,10 @@ REPORT_DIGESTS = [
     ("eps --b=0,1", "sign_square_g4.json", "cee089528872b548138b0c438ea176e4c1fcfb0d3a267c8272bfff2599cfee82"),
     ("derive", "sign_cube_monomial_g6.json", "ac1882203f6c0fd07d33fbe655c7389410312093d288dc3bf775cdab5d03d8fc"),
     ("cosets --n 5 --comp 2,3", None, "135b0bafbe9a04b591be8011344c18750d209e9c201be427d53ea5ba9b95de9a"),
+    ("cosets --n 7", None, "71f192f7e8c6ff1d915bf3b782c4d2952b745938b6860f89dcf33c868e4c6d37"),
+    ("cosets --n 8", None, "a3d3e265534f6634b25993075c3d4832713405228d09e71b8581653347e59433"),
+    ("cosets --n 7 --comp 3,4", None, "ce0bf89b322b5cc3e9bf0542d34f7211aa95cbe64bfcdc15766c9977e5040666"),
+    ("cosets --n 8 --comp 1,1,1,1,1,1,1,1", None, "59ae22c687813a8fdab86fbfb2aa411b28bd859be0cf93aa5d53035d0b25c5cd"),
 ]
 
 

@@ -12,10 +12,12 @@ from glcdist.cosets import (
     orbit_dimension,
     parabolic_classes,
     representative,
+    representatives_verified,
     verify_representative,
 )
 from glcdist.errors import PreconditionError
-from glcdist.exactnum import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational
+
+ZERO, ONE, I = (0, 0), (1, 0), (0, 1)
 
 
 def compositions(n):
@@ -67,8 +69,9 @@ def closure_classes(n, parts):
     return sorted(classes)
 
 
-def gaussian_rows(rows):
-    return tuple(tuple(GaussianRational(x) for x in row) for row in rows)
+def integer_rows(rows):
+    """Integer rows as rows of (re, im) pairs."""
+    return tuple(tuple((x, 0) for x in row) for row in rows)
 
 
 class TestEnumeration:
@@ -76,8 +79,12 @@ class TestEnumeration:
         assert [len(enumerate_involutions(n)) for n in range(1, 6)] == [1, 2, 4, 10, 26]
 
     def test_recurrence(self):
-        counts = {n: len(enumerate_involutions(n)) for n in range(1, 8)}
-        for n in range(3, 8):
+        counts = {}
+        for n in range(1, 11):
+            perms = [w.perm for w in enumerate_involutions(n)]
+            assert perms == sorted(set(perms)), n
+            counts[n] = len(perms)
+        for n in range(3, 11):
             assert counts[n] == counts[n - 1] + (n - 1) * counts[n - 2]
 
     def test_small_sets(self):
@@ -106,43 +113,41 @@ class TestEnumeration:
 
 class TestRepresentatives:
     def test_identity(self):
-        assert representative(Involution((1, 2, 3))) == gaussian_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert representative(Involution((1, 2, 3))) == integer_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_transposition_block(self):
         m = representative(Involution((2, 1)))
-        assert m == ((GQ_ONE, GQ_I), (GQ_I, GQ_ONE))
+        assert m == ((ONE, I), (I, ONE))
 
     def test_disjoint_product(self):
         m = representative(Involution((2, 1, 4, 3)))
         expected = (
-            (GQ_ONE, GQ_I, GQ_ZERO, GQ_ZERO),
-            (GQ_I, GQ_ONE, GQ_ZERO, GQ_ZERO),
-            (GQ_ZERO, GQ_ZERO, GQ_ONE, GQ_I),
-            (GQ_ZERO, GQ_ZERO, GQ_I, GQ_ONE),
+            (ONE, I, ZERO, ZERO),
+            (I, ONE, ZERO, ZERO),
+            (ZERO, ZERO, ONE, I),
+            (ZERO, ZERO, I, ONE),
         )
         assert m == expected
 
     def test_twisted_conjugation_lands_in_torus_translate(self):
-        # g conj(g)^{-1} = w t means row w(j) of g is t_j conj(row j).
+        # g conj(g)^{-1} = w t means row w(j) of g is t_j conj(row j);
+        # sqrt(-1) conj(re + im i) = im + re i.
         g = representative(Involution((2, 1)))
-        assert g[1] == tuple(GQ_I * GaussianRational(x.re, -x.im) for x in g[0])
+        assert g[1] == tuple((im, re) for re, im in g[0])
 
     def test_check_rejects_wrong_matrices(self):
         w = Involution((2, 1))
         assert in_torus_translate(representative(w), w)
         for rows in ([[1, 1], [1, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]]):
-            assert not in_torus_translate(gaussian_rows(rows), w), rows
-        with pytest.raises(ValueError):
-            in_torus_translate(gaussian_rows([["1/2", 0], [0, 1]]), w)
+            assert not in_torus_translate(integer_rows(rows), w), rows
 
     def test_check_rejects_singular_complex_matrices(self):
         # Each row is sqrt(-1) times its conjugate, or real, so only the
         # rank of the realification rejects these.
         identity = Involution((1, 2))
-        one_plus_i = GaussianRational(1, 1)
-        two = GaussianRational(2)
+        one_plus_i, two = (1, 1), (2, 0)
         assert not in_torus_translate(((one_plus_i, one_plus_i), (two, two)), identity)
-        assert in_torus_translate(((one_plus_i, GQ_ZERO), (GQ_ZERO, two)), identity)
+        assert in_torus_translate(((one_plus_i, ZERO), (ZERO, two)), identity)
 
     def test_verification_examples(self):
         assert verify_representative(Involution((1, 2)))
@@ -153,38 +158,64 @@ class TestRepresentatives:
         for n in range(1, 6):
             assert all(verify_representative(w) for w in enumerate_involutions(n))
 
+    def test_verified_once_per_n(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return verify_representative(w)
+
+        representatives_verified.cache_clear()
+        monkeypatch.setattr(cosets, "verify_representative", counted)
+        try:
+            assert [representatives_verified(n) for n in range(1, 8)] == [True] * 7
+            assert len(calls) == 351 == len(set(calls))  # 1 + 2 + 4 + ... + 232
+            for n in range(1, 8):
+                assert representatives_verified(n) is True
+            assert [representatives_verified(n) for n in (8, 9, 10)] == [None] * 3
+            assert len(calls) == 351
+        finally:
+            representatives_verified.cache_clear()
+
+    def test_verified_range_guard_is_not_cached(self):
+        before = representatives_verified.cache_info().currsize
+        for n in (0, 11):
+            with pytest.raises(PreconditionError):
+                representatives_verified(n)
+        assert representatives_verified.cache_info().currsize == before
+
 
 class TestParabolicClasses:
     def test_trivial_composition(self):
-        classes = parabolic_classes(4, Composition((1, 1, 1, 1)))
+        classes = parabolic_classes(Composition((1, 1, 1, 1)))
         assert len(classes) == 10
         assert all(len(cls) == 1 for cls in classes)
 
     def test_full_composition(self):
-        assert len(parabolic_classes(4, Composition((4,)))) == 1
+        assert len(parabolic_classes(Composition((4,)))) == 1
 
     def test_half_half(self):
-        classes = parabolic_classes(4, Composition((2, 2)))
+        classes = parabolic_classes(Composition((2, 2)))
         assert len(classes) == 3
         reps = [cls[0].perm for cls in classes]
         assert reps == [(1, 2, 3, 4), (1, 3, 2, 4), (3, 4, 1, 2)]
 
     def test_half_half_counts(self):
         for half in (1, 2, 3):
-            classes = parabolic_classes(2 * half, Composition((half, half)))
+            classes = parabolic_classes(Composition((half, half)))
             assert len(classes) == half + 1
 
     def test_against_the_closure(self):
         for n in range(1, 7):
             for parts in compositions(n):
-                classes = parabolic_classes(n, Composition(parts))
+                classes = parabolic_classes(Composition(parts))
                 assert [[w.perm for w in cls] for cls in classes] == closure_classes(n, parts), parts
 
     def test_composition_guard(self):
+        # n is bounded only by enumerate_involutions.
+        assert len(parabolic_classes(Composition((1,) * 10))) == 9496
         with pytest.raises(PreconditionError):
-            parabolic_classes(4, Composition((2, 1)))
-        with pytest.raises(PreconditionError):
-            parabolic_classes(9, Composition((9,)))
+            parabolic_classes(Composition((11,)))
         with pytest.raises(PreconditionError):
             Composition((2, 0))
 
@@ -213,7 +244,7 @@ class TestOrbitDimensions:
     def test_middle_parabolic_open_class_is_full_pairing(self):
         for half in (1, 2, 3):
             comp = Composition((half, half))
-            classes = parabolic_classes(2 * half, comp)
+            classes = parabolic_classes(comp)
             full = 2 * (2 * half) ** 2
             open_reps = [
                 cls[0].perm
@@ -226,7 +257,7 @@ class TestOrbitDimensions:
     def test_unique_open_class_rank_three(self):
         for parts in compositions(3):
             comp = Composition(parts)
-            classes = parabolic_classes(3, comp)
+            classes = parabolic_classes(comp)
             open_count = 0
             for cls in classes:
                 dims = {orbit_dimension(w, comp) for w in cls}
@@ -255,12 +286,12 @@ class TestOrbitDimensions:
     def test_formula_against_rank(self):
         for parts in ((3, 4), (4, 4)):
             comp = Composition(parts)
-            classes = parabolic_classes(sum(parts), comp)
+            classes = parabolic_classes(comp)
             assert class_dimensions(classes) == [orbit_dimension(cls[0], comp) for cls in classes]
         rng = random.Random(11)
         for n in (7, 8):
             comp = Composition((1,) * n)
-            classes = rng.sample(parabolic_classes(n, comp), 6)
+            classes = rng.sample(parabolic_classes(comp), 6)
             assert class_dimensions(classes) == [orbit_dimension(cls[0], comp) for cls in classes]
 
     def test_work_cap(self, monkeypatch):
@@ -272,5 +303,5 @@ class TestOrbitDimensions:
         for n in range(1, 9):
             full = 2 * n * n
             for parts in compositions(n):
-                dims = class_dimensions(parabolic_classes(n, Composition(parts)))
+                dims = class_dimensions(parabolic_classes(Composition(parts)))
                 assert dims.count(full) == 1 and all(0 < d <= full for d in dims), parts

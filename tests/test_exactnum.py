@@ -56,6 +56,10 @@ class TestFieldOps:
     def test_multiplicative_inverse(self, a):
         assert a * a.inv() == GQ_ONE
 
+    @given(gaussians)
+    def test_hash_is_the_pair_hash(self, z):
+        assert hash(z) == hash((z.re, z.im))
+
 
 class TestSerialization:
     def test_rational_strings(self):
