@@ -11,10 +11,15 @@ Subcommands:
     verify-kernel  quadrature vs closed-form report for the kernel pairings
     selftest       run the acceptance suite
 
-Exit codes: 0 success, 1 parse error, 2 precondition violation, 3 numeric
+Exit codes: 0 success, 1 parse error (selftest also exits 1 when a
+criterion fails or overruns its budget), 2 precondition violation, 3 numeric
 failure (verify-kernel also exits 3, after its report, when a row's relative
 error exceeds KERNEL_MAX_REL_ERR).  All machine output is JSON; the default
 rendering is plain text.
+
+Each subcommand loads only what it runs: ``selftest`` and ``kernelnum`` (and
+with selftest ``equivalence_scan``) are imported inside cmd_selftest and
+cmd_verify_kernel, which keeps them out of every other request's start-up.
 
 Input files: {"type": "langlands", "characters": [{"m": 1, "s": {"re":
 "1/2", "im": "0"}}, ...]} or {"type": "unitary", "blocks": [{"kind":
@@ -49,7 +54,6 @@ from .distinction import (
 from .errors import InputError, PreconditionError, QuadratureError
 from .exactnum import GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
-from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
 from .ktypes import (
     NotDistinguishedError,
     distinguished_minimal_ktype,
@@ -58,7 +62,6 @@ from .ktypes import (
     minimal_distinguished_ktype_oracle,
 )
 from .params import UnitaryRep, parse_parameter_file, to_langlands
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -392,6 +395,8 @@ def _parse_samples(spec: str):
 
 
 def cmd_verify_kernel(args) -> int:
+    from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
+
     samples = _parse_samples(args.samples)
     rows = [kernel_row(s, case) for s in samples for case in KERNEL_CASES]
     lines = [
@@ -422,6 +427,8 @@ def cmd_verify_kernel(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_all
+
     results = run_all()
     ok = all(r.passed and r.within_budget for r in results)
     print("selftest:", "all criteria passed" if ok else "FAILURES above")

@@ -36,31 +36,30 @@ letters once per process, up to _MAX_VERIFY_N letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .exactnum import integer_rank, real_rank
+from .exactnum import Frozen, integer_rank, real_rank
 
 _MAX_ENUM_N = 10
 _MAX_VERIFY_N = 7
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Frozen):
     """A self-inverse permutation of {1..n}, stored in one-line notation."""
 
+    __slots__ = _fields = ("perm",)
     perm: Tuple[int, ...]
 
-    def __post_init__(self):
-        p = tuple(int(x) for x in self.perm)
-        object.__setattr__(self, "perm", p)
+    def __init__(self, perm: Iterable[int]):
+        p = tuple(int(x) for x in perm)
         n = len(p)
         if sorted(p) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {p}")
         if any(p[p[i] - 1] != i + 1 for i in range(n)):
             raise ValueError(f"not an involution: {p}")
+        object.__setattr__(self, "perm", p)
 
     @property
     def n(self) -> int:
@@ -194,17 +193,17 @@ def representatives_verified(n: int) -> Optional[bool]:
     return all(verify_representative(w) for w in involutions)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """Positive parts summing to n; fixes a standard parabolic subgroup."""
 
+    __slots__ = _fields = ("parts",)
     parts: Tuple[int, ...]
 
-    def __post_init__(self):
-        p = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", p)
+    def __init__(self, parts: Iterable[int]):
+        p = tuple(int(x) for x in parts)
         if not p or any(x < 1 for x in p):
             raise PreconditionError(f"composition parts must be positive, got {p}")
+        object.__setattr__(self, "parts", p)
 
     @property
     def n(self) -> int:

@@ -15,24 +15,26 @@ walk over the stages; the test and the ``derive`` report both read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .distinction import check_condition_i
 from .errors import InputError
-from .exactnum import GaussianRational, read_int
+from .exactnum import Frozen, GaussianRational, read_int
 from .params import LanglandsParameter, check_rank, expand_block, read_json
 
 
-@dataclass(frozen=True)
-class MonomialBlock:
+class MonomialBlock(Frozen):
+    __slots__ = _fields = ("k", "s", "size")
     k: int
     s: GaussianRational
     size: int
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, k: int, s: GaussianRational, size: int):
+        if size < 1:
             raise InputError("block size must be positive")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "size", size)
 
     def to_json(self) -> dict:
         return {"k": self.k, "s": self.s.to_json(), "size": self.size}

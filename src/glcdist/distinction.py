@@ -25,7 +25,6 @@ irreducibility test is performed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .params import (
@@ -38,8 +37,7 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class InvolutionWitness:
+class InvolutionWitness(NamedTuple):
     """An involution on 1-based positions of the normal-form character list.
 
     ``pairs`` are the two-cycles (i, j) with i < j; ``fixed`` the fixed

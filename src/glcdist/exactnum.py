@@ -11,14 +11,15 @@ decided by the caller (``cosets``).  Exact input from outside the program
 is read here too, by ``read_int`` and ``read_rational``.
 
 Everything is immutable after construction and every function is pure.
+The value types of the package derive from ``Frozen``: slots set once by
+the constructor, equality, hash and repr by field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -57,10 +58,46 @@ def read_rational(value, what: str = "value") -> Fraction:
     raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its attributes in ``__slots__``, its fields (a prefix
+    or all of them) in ``_fields``, and sets each slot once in its
+    constructor with ``object.__setattr__``; any other assignment or
+    deletion raises AttributeError.  Two objects of the same class are
+    equal when their fields are, the hash is that of the fields' tuple, and
+    the repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GaussianRational(Frozen):
     """An element re + im*i of Q(i), with exact component-wise equality."""
 
+    __slots__ = _fields = ("re", "im")
     re: Fraction
     im: Fraction
 
@@ -68,6 +105,15 @@ class GaussianRational:
         # Fractions first: every arithmetic result comes through here.
         object.__setattr__(self, "re", re if isinstance(re, Fraction) else read_rational(re))
         object.__setattr__(self, "im", im if isinstance(im, Fraction) else read_rational(im))
+
+    # The scalar's equality and hash, written out: they are hot.
+    def __eq__(self, other):
+        if other.__class__ is GaussianRational:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     # -- field operations -------------------------------------------------
 

@@ -26,15 +26,13 @@ central point is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 import cmath
 
 from .errors import PreconditionError
-from .exactnum import GQ_I, GQ_ONE, GaussianRational
+from .exactnum import GQ_I, GQ_ONE, Frozen, GaussianRational
 from .params import CharacterCx, LanglandsParameter
 
 _HALF = GaussianRational(Fraction(1, 2))
@@ -49,16 +47,17 @@ _HALF = GaussianRational(Fraction(1, 2))
 EPS_MAX_BITS = 680
 
 
-@dataclass(frozen=True)
-class AdditiveCharacterSpec:
+class AdditiveCharacterSpec(Frozen):
     """The twist b of the additive character psi_b; trivial on R iff b is
     purely imaginary."""
 
+    __slots__ = _fields = ("b",)
     b: GaussianRational
 
-    def __post_init__(self):
-        if self.b.is_zero():
+    def __init__(self, b: GaussianRational):
+        if b.is_zero():
             raise PreconditionError("the additive twist b must be nonzero")
+        object.__setattr__(self, "b", b)
 
     @property
     def trivial_on_r(self) -> bool:
@@ -68,27 +67,31 @@ class AdditiveCharacterSpec:
         return self.b.norm_sq()
 
 
-@dataclass(frozen=True)
-class ExactEps:
+class ExactEps(Frozen):
     """A factored epsilon value: unit * |b|^modulus_exponent."""
 
+    __slots__ = ("unit", "abs_b_sq", "modulus_exponent", "_exact")
+    _fields = ("unit", "abs_b_sq", "modulus_exponent")
     unit: GaussianRational
     abs_b_sq: Fraction
     modulus_exponent: GaussianRational
 
-    @cached_property
-    def _exact(self) -> Optional[GaussianRational]:
-        e = self.modulus_exponent
-        if e.is_zero() or self.abs_b_sq == 1:
-            return self.unit
-        if e.is_integer() and e.re.numerator % 2 == 0:
-            power = self.abs_b_sq ** (e.re.numerator // 2)
-            return self.unit * GaussianRational(power)
-        return None
+    def __init__(self, unit: GaussianRational, abs_b_sq: Fraction, modulus_exponent: GaussianRational):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "abs_b_sq", abs_b_sq)
+        object.__setattr__(self, "modulus_exponent", modulus_exponent)
+        e = modulus_exponent
+        if e.is_zero() or abs_b_sq == 1:
+            exact = unit
+        elif e.is_integer() and e.re.numerator % 2 == 0:
+            exact = unit * GaussianRational(abs_b_sq ** (e.re.numerator // 2))
+        else:
+            exact = None
+        object.__setattr__(self, "_exact", exact)
 
     def exact_value(self) -> Optional[GaussianRational]:
-        """The exact value in Q(i) when representable, else None; computed on
-        first use and kept.
+        """The exact value in Q(i) when representable, else None; computed at
+        construction.
 
         Representable when the modulus exponent e is an even integer
         (|b|^e = (|b|^2)^(e/2) is rational) and, degenerately, whenever

@@ -22,12 +22,13 @@ twists u+t and u-t before expanding.  ``expand_block`` is that one rule,
 for monomial blocks (see derivatives) too.  The ``parse`` methods raise
 InputError on malformed JSON, and PreconditionError past MAX_RANK.
 
-Characters and blocks are immutable, so each computes its derived values
-once, and ``distinction`` reads them instead of re-deriving them per call.
-At construction: the exact sort ``key``, its hash, the flag ``s_is_zero`` or
-``u_is_zero``, and for a character the (ii) flag ``half_integral_odd`` (m
-odd, s real, 2s an integer).  On first use, and then kept: a character's
-partner ``conj_inverse()`` and a block's u -> -u ``mirror()``.
+Characters and blocks are immutable (``exactnum.Frozen``, every value in a
+slot), so each computes its derived values once, and ``distinction`` reads
+them instead of re-deriving them per call.  In the constructor: the exact
+sort ``key``, its hash, the flag ``s_is_zero`` or ``u_is_zero``, and for a
+character the (ii) flag ``half_integral_odd`` (m odd, s real, 2s an
+integer).  On first use, and then kept in its slot: a character's partner
+``conj_inverse()`` and a block's u -> -u ``mirror()``.
 
 The ``key`` is a flat tuple that orders exactly as (m, -Re s, -Im s) for a
 character and (kind, n or m, k, Im u, t) for a block, kind 0 for a
@@ -42,14 +43,13 @@ is the key's: sorts, dict lookups and equality call no ``Fraction`` method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import InputError, PreconditionError
-from .exactnum import GaussianRational, read_int, read_rational
+from .exactnum import Frozen, GaussianRational, read_int, read_rational
 
 # Cap on the rank of a parameter read from outside the program (its
 # characters, or the total size of its blocks), checked before any block is
@@ -98,8 +98,8 @@ def _rational_key(p: int, q: int) -> list:
     return out
 
 
-class _Keyed:
-    """Equality and hash by the exact ``key`` set in ``__post_init__``."""
+class _Keyed(Frozen):
+    """Equality and hash by the exact ``key`` set in the constructor."""
 
     __slots__ = ()
 
@@ -118,19 +118,21 @@ class _Keyed:
 sort_key = attrgetter("key")
 
 
-@dataclass(frozen=True, eq=False)
 class CharacterCx(_Keyed):
     """The character kappa_{m,s} of C^x."""
 
+    __slots__ = ("m", "s", "key", "_hash", "s_is_zero", "half_integral_odd", "_partner")
+    _fields = ("m", "s")
     m: int
     s: GaussianRational
 
-    def __post_init__(self):
-        if not isinstance(self.m, int):
+    def __init__(self, m: int, s: GaussianRational):
+        if not isinstance(m, int):
             raise TypeError("twist exponent m must be an integer")
-        s = self.s
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
         key = (
-            2 * self.m,
+            2 * m,
             *_rational_key(-s.re.numerator, s.re.denominator),
             *_rational_key(-s.im.numerator, s.im.denominator),
         )
@@ -140,7 +142,7 @@ class CharacterCx(_Keyed):
         object.__setattr__(
             self,
             "half_integral_odd",
-            self.m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2,
+            m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2,
         )
 
     def conj_inverse(self) -> "CharacterCx":
@@ -215,24 +217,28 @@ class LanglandsParameter:
 # -- unitary building blocks ----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class CharBlock(_Keyed):
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
 
+    __slots__ = ("n", "k", "u", "key", "_hash", "u_is_zero", "_mirror")
+    _fields = ("n", "k", "u")
     n: int
     k: int
     u: GaussianRational
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, k: int, u: GaussianRational):
+        if n < 1:
             raise InputError("block size must be positive")
-        if self.u.re != 0:
+        if u.re != 0:
             raise InputError("character block twist u must be purely imaginary")
-        im = self.u.im
-        key = (0, 2 * self.n, 2 * self.k, *_rational_key(im.numerator, im.denominator))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "u", u)
+        im = u.im
+        key = (0, 2 * n, 2 * k, *_rational_key(im.numerator, im.denominator))
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "u_is_zero", self.u.is_zero())
+        object.__setattr__(self, "u_is_zero", u.is_zero())
 
     def mirror(self) -> "CharBlock":
         """The u -> -u block, built on first use and kept."""
@@ -251,33 +257,38 @@ class CharBlock(_Keyed):
         return {"kind": "char", "n": self.n, "k": self.k, "u": self.u.to_json()}
 
 
-@dataclass(frozen=True, eq=False)
 class CompSeriesBlock(_Keyed):
     """Complementary series block on size 2m: twists (k, u), inner +-t, 0<t<1."""
 
+    __slots__ = ("m", "k", "u", "t", "key", "_hash", "u_is_zero", "_mirror")
+    _fields = ("m", "k", "u", "t")
     m: int
     k: int
     u: GaussianRational
     t: Fraction
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, k: int, u: GaussianRational, t: Fraction):
+        if m < 1:
             raise InputError("block size must be positive")
-        if self.u.re != 0:
+        if u.re != 0:
             raise InputError("complementary twist u must be purely imaginary")
-        if not (0 < self.t < 1):
+        if not (0 < t < 1):
             raise InputError("complementary parameter requires 0 < t < 1 strictly")
-        im, t = self.u.im, self.t
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "t", t)
+        im = u.im
         key = (
             2,
-            2 * self.m,
-            2 * self.k,
+            2 * m,
+            2 * k,
             *_rational_key(im.numerator, im.denominator),
             *_rational_key(t.numerator, t.denominator),
         )
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "u_is_zero", self.u.is_zero())
+        object.__setattr__(self, "u_is_zero", u.is_zero())
 
     def mirror(self) -> "CompSeriesBlock":
         """The u -> -u block, built on first use and kept."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glcdist import cli
+from glcdist import cli, selftest
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
 from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
@@ -237,6 +237,24 @@ class TestVerifyKernel:
         assert code == 3
 
 
+class TestSelftest:
+    # The criteria are stubbed: the real suite runs in test_acceptance.py.
+    @pytest.mark.parametrize(
+        "passed, elapsed, code",
+        [(True, 0.5, 0), (False, 0.5, 1), (True, 31.0, 1)],
+        ids=["all-pass", "one-fails", "one-over-budget"],
+    )
+    def test_exit_code(self, capsys, monkeypatch, passed, elapsed, code):
+        results = [
+            selftest.CriterionResult(1, "first", True, "", 0.1, 30.0),
+            selftest.CriterionResult(2, "second", passed, "", elapsed, 30.0),
+        ]
+        monkeypatch.setattr(selftest, "run_all", lambda: results)
+        assert main(["selftest"]) == code
+        verdict = "all criteria passed" if code == 0 else "FAILURES above"
+        assert capsys.readouterr().out == f"selftest: {verdict}\n"
+
+
 class TestParsing:
     def test_missing_input(self, capsys):
         code = main(["classify"])
@@ -302,9 +320,17 @@ class TestParsing:
         )
         subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
-    def test_cli_import_loads_no_numpy(self):
-        # numpy would be most of the CLI's start-up time; no module needs it.
-        code = "import sys\nimport glcdist.cli\nassert 'numpy' not in sys.modules\n"
+    def test_cli_import_loads_only_what_requests_run(self):
+        # numpy would be most of the CLI's start-up time, and no module needs
+        # it; dataclasses pulls in inspect and ast.  selftest, kernelnum and
+        # equivalence_scan load only for the subcommands that run them.
+        code = (
+            "import sys\n"
+            "import glcdist.cli\n"
+            "unwanted = ['numpy', 'dataclasses', 'glcdist.selftest', 'glcdist.kernelnum', 'glcdist.equivalence_scan']\n"
+            "loaded = [name for name in unwanted if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
         subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
     def test_text_mode_encodes_no_json(self, capsys, monkeypatch, tmp_path):

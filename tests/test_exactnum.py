@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from glcdist.cosets import Composition, Involution
+from glcdist.derivatives import MonomialBlock
+from glcdist.distinction import InvolutionWitness
 from glcdist.errors import InputError
+from glcdist.factors import AdditiveCharacterSpec, ExactEps
+from glcdist.params import CharacterCx, CharBlock, CompSeriesBlock
 from glcdist.exactnum import (
     GQ_I,
     GQ_ONE,
@@ -59,6 +64,40 @@ class TestFieldOps:
     @given(gaussians)
     def test_hash_is_the_pair_hash(self, z):
         assert hash(z) == hash((z.re, z.im))
+
+
+# The immutable value types: a constructor, a field, and the expected repr.
+VALUE_TYPES = [
+    (lambda: gq("1/2", -3), "re", "GaussianRational(1/2, -3)"),
+    (lambda: CharacterCx(1, gq("1/2")), "m", "CharacterCx(m=1, s=GaussianRational(1/2, 0))"),
+    (lambda: CharBlock(2, 1, gq(0, 1)), "u", "CharBlock(n=2, k=1, u=GaussianRational(0, 1))"),
+    (
+        lambda: CompSeriesBlock(1, 0, gq(0), Fraction(1, 2)),
+        "t",
+        "CompSeriesBlock(m=1, k=0, u=GaussianRational(0, 0), t=Fraction(1, 2))",
+    ),
+    (lambda: InvolutionWitness(((1, 2),), (3,)), "pairs", "InvolutionWitness(pairs=((1, 2),), fixed=(3,))"),
+    (lambda: MonomialBlock(1, gq(0), 2), "size", "MonomialBlock(k=1, s=GaussianRational(0, 0), size=2)"),
+    (lambda: Involution((2, 1, 3)), "perm", "Involution(2, 1, 3)"),
+    (lambda: Composition((2, 2)), "parts", "Composition(parts=(2, 2))"),
+    (lambda: AdditiveCharacterSpec(gq(0, 1)), "b", "AdditiveCharacterSpec(b=GaussianRational(0, 1))"),
+    (
+        lambda: ExactEps(gq(1), Fraction(4), gq(2)),
+        "unit",
+        "ExactEps(unit=GaussianRational(1, 0), abs_b_sq=Fraction(4, 1), modulus_exponent=GaussianRational(2, 0))",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, field, text", VALUE_TYPES, ids=[text.split("(")[0] for _, _, text in VALUE_TYPES])
+def test_value_type_contract(make, field, text):
+    a, b = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == text
 
 
 class TestSerialization:
