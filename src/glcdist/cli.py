@@ -265,24 +265,22 @@ def cmd_ktype(args) -> int:
     low = lowest_ktype(param)
     minimal = distinguished_minimal_ktype(param)
     results = {
-        "lowest_ktype": low.to_json(),
-        "distinguished_minimal_ktype": minimal.to_json(),
+        "lowest_ktype": list(low),
+        "distinguished_minimal_ktype": list(minimal),
         "minimal_is_even": is_o_distinguished(minimal),
     }
     criteria = ["evenness-criterion", "minimal-even-ktype-construction"]
     lines = [
-        f"lowest K-type: {tuple(low)}",
-        f"distinguished minimal K-type: {tuple(minimal)}",
+        f"lowest K-type: {low}",
+        f"distinguished minimal K-type: {minimal}",
     ]
     if args.radius is not None:
         inputs["radius"] = args.radius
         oracle = minimal_distinguished_ktype_oracle(param, args.radius)
-        results["oracle_minimizers"] = sorted(w.to_json() for w in oracle)
+        results["oracle_minimizers"] = [list(w) for w in sorted(oracle)]
         results["oracle_agrees"] = oracle == {minimal}
         criteria.append("torus-weight-oracle")
-        lines.append(
-            f"oracle minimizers (radius {args.radius}): {sorted(tuple(w) for w in oracle)}"
-        )
+        lines.append(f"oracle minimizers (radius {args.radius}): {sorted(oracle)}")
     _emit(_report("ktype", inputs, results, criteria), args, lines)
     return EXIT_OK
 

@@ -52,10 +52,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
 
 from .errors import PreconditionError, QuadratureError
+from .exactnum import Frozen
 
 # -- complex gamma -----------------------------------------------------------
 
@@ -153,16 +153,18 @@ _KRONROD = (
 MAX_SUBDIVISIONS = 600
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(Frozen):
     """Tolerances for the adaptive integrator."""
 
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-9
+    __slots__ = _fields = ("abs_tol", "rel_tol")
+    abs_tol: float
+    rel_tol: float
 
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+    def __init__(self, abs_tol: float = 1e-11, rel_tol: float = 1e-9):
+        if abs_tol <= 0 or rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -256,14 +258,14 @@ class BetaPair(NamedTuple):
     closed: complex
 
 
-def beta_P(a: complex, b: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> BetaPair:
+def beta_P(a: complex, b: complex) -> BetaPair:
     """The normalized interval pairing and its holomorphic continuation.
 
     numeric: 1/(Gamma(a)Gamma(b)) * integral over [-1,1] of
     (1-x)^(a-1) (1+x)^(b-1); requires Re a > 0 and Re b > 0.  With
     x = (1-r^2)/(1+r^2) the integral is 2^(a+b) M(a+b, 2a-1).
     closed: 2^(a+b-1)/Gamma(a+b), valid off the poles.  The two agree on
-    the common domain.
+    the common domain.  The integral is taken in DEFAULT_CONFIG.
     """
     a = complex(a)
     b = complex(b)
@@ -273,7 +275,7 @@ def beta_P(a: complex, b: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Be
             "the defining integral needs Re a > 0 and Re b > 0; "
             "use the closed continuation instead"
         )
-    integral = 2.0 ** (a + b) * _radial_moment(a + b, 2.0 * a - 1.0, cfg)
+    integral = 2.0 ** (a + b) * _radial_moment(a + b, 2.0 * a - 1.0, DEFAULT_CONFIG)
     return BetaPair(integral / (complex_gamma(a) * complex_gamma(b)), closed)
 
 

@@ -1,7 +1,9 @@
 """Highest-weight combinatorics for the unitary group of rank n.
 
 An irreducible representation of U(n) is identified with its highest
-weight, a weakly decreasing integer n-tuple.  This module provides:
+weight, a weakly decreasing integer n-tuple, and every function here takes
+and returns highest weights as plain tuples (``weight_multiplicity`` and
+``is_o_distinguished`` check theirs).  This module provides:
 
 *   the evenness test for carrying an O(n)-fixed vector,
 *   the lowest K-type of a principal-series parameter and the construction
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from math import isqrt
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from .errors import PreconditionError
 from .params import LanglandsParameter
@@ -26,67 +28,28 @@ class NotDistinguishedError(PreconditionError):
     """Raised when the even-multiplicity hypothesis on odd entries fails."""
 
 
-class RadiusExhaustedError(PreconditionError):
-    """Raised when no candidate weight exists within the search radius."""
-
-
-class HighestWeight:
-    """A weakly decreasing integer tuple."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[int]):
-        t = tuple(int(x) for x in entries)
-        if not t:
-            raise ValueError("a highest weight needs at least one entry")
-        if any(a < b for a, b in zip(t, t[1:])):
-            raise ValueError(f"entries must be weakly decreasing: {t}")
-        self.entries = t
-
-    @classmethod
-    def of(cls, x) -> "HighestWeight":
-        return x if isinstance(x, HighestWeight) else cls(x)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if isinstance(other, HighestWeight):
-            return self.entries == other.entries
-        if isinstance(other, tuple):
-            return self.entries == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"HighestWeight{self.entries}"
-
-    def norm_sq(self) -> int:
-        return sum(x * x for x in self.entries)
-
-    def to_json(self) -> list:
-        return list(self.entries)
+def _highest_weight(mu) -> Tuple[int, ...]:
+    """``mu`` as a highest weight: a non-empty, weakly decreasing integer
+    tuple; ValueError otherwise."""
+    t = tuple(int(x) for x in mu)
+    if not t:
+        raise ValueError("a highest weight needs at least one entry")
+    if any(a < b for a, b in zip(t, t[1:])):
+        raise ValueError(f"entries must be weakly decreasing: {t}")
+    return t
 
 
 def is_o_distinguished(mu) -> bool:
     """True iff every entry is even (existence of an O(n)-fixed vector)."""
-    return all(x % 2 == 0 for x in HighestWeight.of(mu))
+    return all(x % 2 == 0 for x in _highest_weight(mu))
 
 
-def lowest_ktype(p: LanglandsParameter) -> HighestWeight:
+def lowest_ktype(p: LanglandsParameter) -> Tuple[int, ...]:
     """Twist exponents of the parameter, sorted weakly decreasing."""
-    return HighestWeight(sorted((c.m for c in p.chars), reverse=True))
+    return tuple(sorted((c.m for c in p.chars), reverse=True))
 
 
-def distinguished_minimal_ktype(p: LanglandsParameter) -> HighestWeight:
+def distinguished_minimal_ktype(p: LanglandsParameter) -> Tuple[int, ...]:
     """Replace each odd entry value (even multiplicity 2c) of the lowest
     K-type by c copies of value+1 and c copies of value-1, then re-sort."""
     base = lowest_ktype(p)
@@ -106,7 +69,7 @@ def distinguished_minimal_ktype(p: LanglandsParameter) -> HighestWeight:
                 )
             out.extend([v + 1] * (c // 2))
             out.extend([v - 1] * (c // 2))
-    return HighestWeight(sorted(out, reverse=True))
+    return tuple(sorted(out, reverse=True))
 
 
 # -- exact weight multiplicities --------------------------------------------
@@ -120,7 +83,7 @@ def weight_multiplicity(mu, nu: Sequence[int]) -> int:
     Row k-1 of a pattern interlaces row k: row[i+1] <= next[i] <= row[i].
     The count under each row is memoised for the length of this call only.
     """
-    mu = HighestWeight.of(mu)
+    mu = _highest_weight(mu)
     nu = tuple(int(x) for x in nu)
     if len(nu) != len(mu):
         raise ValueError("weight length mismatch")
@@ -149,7 +112,7 @@ def weight_multiplicity(mu, nu: Sequence[int]) -> int:
         memo[row] = fill((), sums[k - 1])
         return memo[row]
 
-    return below(mu.entries)
+    return below(mu)
 
 
 def _even_dominant_weights(n: int, radius: int, total: int):
@@ -169,7 +132,7 @@ def _even_dominant_weights(n: int, radius: int, total: int):
         hi = prefix[-1] if prefix else radius
         if r == 0:
             if rest <= hi and rest % 2 == 0 and rest * rest <= room:
-                yield HighestWeight(prefix + [rest])
+                yield tuple(prefix + [rest])
             return
         # (r+1) v^2 - 2 rest v + rest^2 - r room <= 0
         disc = r * ((r + 1) * room - rest * rest)
@@ -196,7 +159,7 @@ ORACLE_MAX_CANDIDATES = 64
 
 def minimal_distinguished_ktype_oracle(
     p: LanglandsParameter, radius: int
-) -> Set[HighestWeight]:
+) -> Set[Tuple[int, ...]]:
     """Brute-force minimal even K-types of the full principal series.
 
     A K-type mu occurs in the principal series iff the twist-exponent
@@ -206,10 +169,11 @@ def minimal_distinguished_ktype_oracle(
     multiplicity at the exponent vector, the subset of minimal norm is
     returned (all minimizers, so a non-unique minimum is surfaced).
 
-    Preconditions: n <= ORACLE_MAX_RANK, and at most ORACLE_MAX_CANDIDATES
-    candidate weights within the radius; PreconditionError otherwise.
+    Preconditions: n <= ORACLE_MAX_RANK, at most ORACLE_MAX_CANDIDATES
+    candidate weights within the radius, and a minimizer among them;
+    PreconditionError otherwise.
     """
-    nu = tuple(sorted((c.m for c in p.chars), reverse=True))
+    nu = lowest_ktype(p)
     if len(nu) > ORACLE_MAX_RANK:
         raise PreconditionError(f"the K-type oracle supports n <= {ORACLE_MAX_RANK}, got n = {len(nu)}")
     if radius < max((abs(v) for v in nu), default=0):
@@ -224,19 +188,19 @@ def minimal_distinguished_ktype_oracle(
             f"more than {ORACLE_MAX_CANDIDATES} candidate K-types within radius "
             f"{radius}; the oracle supports at most {ORACLE_MAX_CANDIDATES}"
         )
-    best: Set[HighestWeight] = set()
+    best: Set[Tuple[int, ...]] = set()
     best_norm = None
     for mu in candidates:
         if weight_multiplicity(mu, nu) <= 0:
             continue
-        nrm = mu.norm_sq()
+        nrm = sum(x * x for x in mu)
         if best_norm is None or nrm < best_norm:
             best = {mu}
             best_norm = nrm
         elif nrm == best_norm:
             best.add(mu)
     if not best:
-        raise RadiusExhaustedError(
+        raise PreconditionError(
             f"no even K-type containing weight {nu} within radius {radius}"
         )
     return best

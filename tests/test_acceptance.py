@@ -3,6 +3,7 @@ line and enforcing both correctness and the stated runtime budget."""
 
 import pytest
 
+from glcdist import selftest
 from glcdist.selftest import CRITERIA, run_criterion
 
 
@@ -19,3 +20,10 @@ def test_acceptance_criterion(index, capsys):
         f"criterion {index} exceeded its budget: {result.elapsed:.2f}s "
         f">= {result.budget:.0f}s"
     )
+
+
+def test_kernel_detail_counts_the_samples_run(monkeypatch):
+    # The detail line reports the samples criterion 8 ran, not a fixed text.
+    monkeypatch.setattr(selftest, "KERNEL_SAMPLES", (0.1 + 0j, 0.3 + 0.2j))
+    result = run_criterion(8)
+    assert result.passed and "2 samples, both cases" in result.detail

@@ -506,6 +506,7 @@ REPORT_DIGESTS = [
     ("classify --mode generic", "g4_mixed.json", "b7a1f969d1fc78a39b6b943785f36233fc307d2d467b828d5deb92f5a2fd8e17"),
     ("classify --mode unitary", "g4_mixed.json", "3631864313213616c2fd6892e32152f24589786cfee73872da567a14a5ed4f14"),
     ("ktype", "g4_mixed.json", "6c88c650f77363eb379cd3455708cd0a73db7429ce6bc1f92644cbbc220d9bf9"),
+    ("ktype --radius 8", "g4_mixed.json", "34b4152c88e037da053f06cb2ddddca5813c379acbf7f409a63db632776bcbf0"),
     ("eps --b=0,1", "g4_mixed.json", "9f3b026f85ed1ca94f1199bc3832c453fbec27068c48f8a9d2c8e963919bec7a"),
     ("classify --mode generic", "pair_g2.json", "f387457574638b62e1124e2ba4ab8b02eca7c770cf4d28efa2ebc592fe1d0e7a"),
     ("classify --mode unitary", "pair_g2.json", "cdb273c590c3ed501b852fc15486bc7100fe1ccf88a87b6aaf002c4917f187c5"),

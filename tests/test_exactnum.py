@@ -8,7 +8,9 @@ from glcdist.derivatives import MonomialBlock
 from glcdist.distinction import InvolutionWitness
 from glcdist.errors import InputError
 from glcdist.factors import AdditiveCharacterSpec, ExactEps
+from glcdist.kernelnum import QuadratureConfig
 from glcdist.params import CharacterCx, CharBlock, CompSeriesBlock
+from glcdist.selftest import CriterionResult
 from glcdist.exactnum import (
     GQ_I,
     GQ_ONE,
@@ -85,6 +87,12 @@ VALUE_TYPES = [
         lambda: ExactEps(gq(1), Fraction(4), gq(2)),
         "unit",
         "ExactEps(unit=GaussianRational(1, 0), abs_b_sq=Fraction(4, 1), modulus_exponent=GaussianRational(2, 0))",
+    ),
+    (lambda: QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8), "rel_tol", "QuadratureConfig(abs_tol=1e-10, rel_tol=1e-08)"),
+    (
+        lambda: CriterionResult(8, "kernel oracle", True, "ok", 0.5, 60.0),
+        "passed",
+        "CriterionResult(index=8, name='kernel oracle', passed=True, detail='ok', elapsed=0.5, budget=60.0)",
     ),
 ]
 

@@ -12,6 +12,9 @@ loads must resolve.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +156,21 @@ def test_no_module_imports_numpy():
     # kernelnum's floats through math and cmath.
     assert imported_modules("import numpy.linalg as la\nfrom .x import y\n") == {"numpy"}
     assert [path.name for path in MODULES if "numpy" in imported_modules(path.read_text(encoding="utf-8"))] == []
+
+
+def test_only_equivalence_scan_imports_dataclasses():
+    # Value types derive from exactnum.Frozen or are NamedTuples, and
+    # dataclasses costs its importer inspect and ast.  ScanResult stays a
+    # dataclass: perfbench/test_checks.py builds altered scans with
+    # dataclasses.replace.
+    found = [path.stem for path in MODULES if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert found == ["equivalence_scan"]
+
+
+def test_kernelnum_import_leaves_dataclasses_unloaded():
+    code = "import sys\nimport glcdist.kernelnum\nassert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n"
+    src = str(Path(glcdist.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def indented_json_calls(source: str) -> list:

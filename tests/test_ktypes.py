@@ -9,9 +9,7 @@ from glcdist.exactnum import GaussianRational
 from glcdist.ktypes import (
     ORACLE_MAX_CANDIDATES,
     ORACLE_MAX_RANK,
-    HighestWeight,
     NotDistinguishedError,
-    RadiusExhaustedError,
     distinguished_minimal_ktype,
     is_o_distinguished,
     lowest_ktype,
@@ -81,8 +79,11 @@ class TestBasics:
         assert is_o_distinguished((0, 0, 0, 0))
 
     def test_weakly_decreasing_enforced(self):
-        with pytest.raises(ValueError):
-            HighestWeight((0, 1))
+        for check in (lambda mu: weight_multiplicity(mu, (1, 0)), is_o_distinguished):
+            with pytest.raises(ValueError, match="weakly decreasing"):
+                check((0, 1))
+            with pytest.raises(ValueError, match="at least one entry"):
+                check(())
 
     def test_lowest_ktype(self):
         p = param(kappa(1), kappa(1), kappa(1, "1/4"), kappa(1, "-1/4"))
@@ -195,15 +196,15 @@ class TestWeightMultiplicity:
 class TestOracle:
     def test_examples(self):
         p = param(kappa(1, "1/4"), kappa(1, "-1/4"))
-        assert minimal_distinguished_ktype_oracle(p, 4) == {HighestWeight((2, 0))}
+        assert minimal_distinguished_ktype_oracle(p, 4) == {(2, 0)}
         p0 = param(kappa(0), kappa(0))
-        assert minimal_distinguished_ktype_oracle(p0, 2) == {HighestWeight((0, 0))}
+        assert minimal_distinguished_ktype_oracle(p0, 2) == {(0, 0)}
         p2 = param(kappa(2), kappa(0))
-        assert minimal_distinguished_ktype_oracle(p2, 4) == {HighestWeight((2, 0))}
+        assert minimal_distinguished_ktype_oracle(p2, 4) == {(2, 0)}
 
     def test_rank_six(self):
         six = param(*(kappa(1, f"{sign * k}/7") for k in (1, 2, 3) for sign in (1, -1)))
-        assert minimal_distinguished_ktype_oracle(six, 11) == {HighestWeight((2, 2, 2, 0, 0, 0))}
+        assert minimal_distinguished_ktype_oracle(six, 11) == {(2, 2, 2, 0, 0, 0)}
 
     def test_radius_precondition(self):
         with pytest.raises(ValueError):
@@ -211,10 +212,9 @@ class TestOracle:
 
     def test_radius_exhausted(self):
         # Odd total twist sum admits no even weight at all.
-        with pytest.raises(RadiusExhaustedError):
-            minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), 6)
-        with pytest.raises(RadiusExhaustedError):
-            minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), 10**9)
+        for radius in (6, 10**9):
+            with pytest.raises(PreconditionError, match=r"no even K-type containing weight \(1, 0\) within radius"):
+                minimal_distinguished_ktype_oracle(param(kappa(1), kappa(0)), radius)
 
     def test_work_caps(self):
         # Both caps are checked before any multiplicity is counted, and a
