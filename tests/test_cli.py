@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glcdist import cli, selftest
+from glcdist import cli, kernelnum, selftest
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
 from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
@@ -205,15 +205,16 @@ class TestVerifyKernel:
         rows = [kernel_row(0.2 + 0j, case).to_json() for case in KERNEL_CASES]
         assert report["results"]["table"] == rows
 
-    def test_rel_err_past_bound_exits_numeric(self, capsys):
-        # At 0.2+30i both cases miss the bound by about nine orders: the
-        # report is still emitted, and stderr names the worst row.
+    def test_rel_err_past_bound_exits_numeric(self, capsys, monkeypatch):
+        # With the bound moved below both rows' errors at 0.2+30i, the report
+        # is still emitted, and stderr names the worst row.
+        monkeypatch.setattr(kernelnum, "KERNEL_MAX_REL_ERR", 1e-15)
         code = main(["verify-kernel", "--samples=0.2+30j", "--json"])
         captured = capsys.readouterr()
         assert code == 3
         table = json.loads(captured.out)["results"]["table"]
         worst = max(table, key=lambda row: row["rel_err"])
-        assert worst["rel_err"] > KERNEL_MAX_REL_ERR
+        assert worst["rel_err"] > kernelnum.KERNEL_MAX_REL_ERR
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and worst["case"] in err[0] and "(0.2+30j)" in err[0]
 
@@ -223,6 +224,13 @@ class TestVerifyKernel:
         assert code == 0 and captured.err == ""
         for row in json.loads(captured.out)["results"]["table"]:
             assert row["rel_err"] <= KERNEL_MAX_REL_ERR
+
+    def test_large_imaginary_parts_within_bound(self, capsys):
+        # Where |Im s| is large the kernel moments are exponentially small;
+        # each row still meets the bound, up to the cap |Im s| = 100.
+        code = main(["verify-kernel", "--samples", "0.2+8j,0.2+30j,0.2+100j"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
 
     def test_strip_violation_exit_code(self, capsys):
         code = main(["verify-kernel", "--samples", "5"])

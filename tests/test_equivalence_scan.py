@@ -2,19 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from glcdist import equivalence_scan
 from glcdist.equivalence_scan import (
     SCAN_MAX_BUDGET,
-    _check_independent,
     _components,
-    _scan_tables,
     acceptance_block_grid,
     direct_exhaustive_check,
+    direct_verdicts,
+    enumerate_reps,
     run_equivalence_scan,
-    scan_tables,
+    scan_blocks,
 )
 from glcdist.errors import PreconditionError
 from glcdist.exactnum import GaussianRational
-from glcdist.params import CharBlock, CompSeriesBlock
+from glcdist.params import CharBlock, CharacterCx, CompSeriesBlock, UnitaryRep, block_characters
 
 
 class TestFullScan:
@@ -53,6 +54,25 @@ class TestFullScan:
         assert list(nodes) == list(scan.nodes_by_size)
         assert list(dist) == list(scan.dist_by_size)
 
+    def test_factored_counts_match_direct_api_past_size_5(self):
+        # The 48 blocks with k = 1 fall into 10 components, several of which
+        # hold multisets of size 6 to 8 that combine across components:
+        # every one of the 8,054 multisets goes through the full API.
+        blocks = [b for b in acceptance_block_grid() if b.k == 1]
+        scan = scan_blocks(blocks, 8)
+        assert scan.components == 10
+        nodes, dist, disagreements = [0] * 9, [0] * 9, 0
+        for combo in enumerate_reps(blocks, 8):
+            n = sum(b.size for b in combo)
+            via_param, via_blocks = direct_verdicts(UnitaryRep(combo))
+            nodes[n] += 1
+            dist[n] += via_param
+            disagreements += via_param != via_blocks
+        assert sum(nodes) == 8054
+        assert scan.nodes_by_size == nodes
+        assert scan.dist_by_size == dist
+        assert scan.disagreements == disagreements == 0
+
 
 class TestWitness:
     @pytest.mark.parametrize(
@@ -64,12 +84,18 @@ class TestWitness:
         ],
         ids=str,
     )
-    def test_flipped_parity_flag_is_reported(self, block):
-        blocks = acceptance_block_grid()
-        tables = _scan_tables(blocks)
-        i = blocks.index(block)
-        tables["ii_block"][i] ^= 1
-        scan = scan_tables(blocks, tables, 4)
+    def test_flipped_parity_flag_is_reported(self, block, monkeypatch):
+        # One character of ``block`` gets twist m + 1, which flips the
+        # parity its (ii) clause reads: the scan must find the block in a
+        # disagreement of total size at most 4.
+        def faulty(b):
+            chars = block_characters(b)
+            if b != block:
+                return chars
+            return (CharacterCx(chars[0].m + 1, chars[0].s),) + chars[1:]
+
+        monkeypatch.setattr(equivalence_scan, "block_characters", faulty)
+        scan = scan_blocks(acceptance_block_grid(), 4)
         assert scan.disagreements > 0
         assert scan.first_failure is not None
         assert block in scan.first_failure.blocks
@@ -78,34 +104,43 @@ class TestWitness:
 
 class TestIndependence:
     def test_grid_components_are_independent(self):
-        tables = _scan_tables(acceptance_block_grid())
-        components = _components(tables)
-        _check_independent(tables, components)
-        assert sorted(b for members in components for b in members) == list(
-            range(len(tables["size"]))
-        )
+        blocks = acceptance_block_grid()
+        components = _components(blocks)
+        assert sorted(
+            (b for members in components for b in members), key=blocks.index
+        ) == blocks
+        owner = {}
+        for label, members in enumerate(components):
+            assert {b.mirror() for b in members} == set(members)
+            chars = {c for b in members for c in block_characters(b)}
+            assert {c.conj_inverse() for c in chars} == chars
+            for c in chars:
+                assert owner.setdefault(c, label) == label
 
-    def test_coupled_mirror_raises(self):
-        tables = _scan_tables(acceptance_block_grid())
-        components = _components(tables)
-        a, b = components[0][0], components[1][0]
-        tables["partner"][a] = b
-        with pytest.raises(RuntimeError, match="mirrors in different components"):
-            _check_independent(tables, components)
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (CharBlock(1, 0, GaussianRational(0, 1)), "the mirror of .* lies outside"),
+            (CharBlock(1, 0, GaussianRational(0)), "shared by two components"),
+        ],
+        ids=["mirror-outside", "shared-character"],
+    )
+    def test_split_component_raises(self, block, message, monkeypatch):
+        # The u = i block leaves its mirror behind; the u = 0 block is its
+        # own mirror, but its character k[0,0] also lies in CharBlock(3, 0, 0).
+        components = _components(acceptance_block_grid())
 
-    def test_coupled_conjugate_inverse_raises(self):
-        tables = _scan_tables(acceptance_block_grid())
-        components = _components(tables)
-        c = tables["block_chars"][components[0][0]][0]
-        q = tables["block_chars"][components[1][0]][0]
-        tables["pid"][c] = q
-        with pytest.raises(RuntimeError, match="conjugate-inverse in different"):
-            _check_independent(tables, components)
+        def split(blocks):
+            return [[b for b in members if b != block] for members in components] + [[block]]
 
-    def test_shared_character_raises(self):
-        tables = _scan_tables(acceptance_block_grid())
-        components = _components(tables)
-        a, b = components[0][0], components[1][0]
-        tables["block_chars"][b] = tables["block_chars"][b] + tables["block_chars"][a][:1]
-        with pytest.raises(RuntimeError, match="shared by two components"):
-            _check_independent(tables, components)
+        monkeypatch.setattr(equivalence_scan, "_components", split)
+        with pytest.raises(RuntimeError, match=message):
+            run_equivalence_scan(4)
+
+    def test_missing_mirror_raises(self):
+        # The characters k[0, i/2 +- 7/2] of CharBlock(8, 0, i) have their
+        # conjugate-inverses in its mirror alone, so that clause fails first.
+        missing = CharBlock(8, 0, GaussianRational(0, -1))
+        blocks = [b for b in acceptance_block_grid() if b != missing]
+        with pytest.raises(RuntimeError, match=r"the conjugate-inverse of .* lies outside"):
+            scan_blocks(blocks, 4)

@@ -384,6 +384,8 @@ def test_benchmark_hooks_resolve():
     loads = {load for path in BENCH for load in glcdist_loads(path.read_text(encoding="utf-8"))}
     assert {
         ("glcdist.kernelnum", "case1_displayed_form"),
+        ("glcdist.equivalence_scan", "run_equivalence_scan"),
+        ("glcdist.equivalence_scan", "direct_verdicts"),
         ("glcdist.selftest", "KERNEL_CONFIG"),
         ("glcdist.params", "block_characters.cache_info"),
         ("glcdist.exactnum", "GaussianRational"),

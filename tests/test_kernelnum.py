@@ -275,6 +275,47 @@ def test_numeric_side_against_mpmath(case, s):
     assert abs(numeric - want) / abs(want) < 1e-6
 
 
+# 9 values of Im s in [-100, 100], in two halves so that each test stays short.
+STRIP_GRID_IM = {"lower": (-100, -75, -50, -25), "upper": (0, 25, 50, 75, 100)}
+
+
+@pytest.mark.parametrize("half", list(STRIP_GRID_IM))
+@pytest.mark.parametrize("case", [1, 2])
+def test_strip_grid_against_mpmath(case, half):
+    # 8 values of Re s, from 0.01 inside each edge of the strip, times half
+    # of the Im s values.  Where |Im s| is large the radial moment is
+    # exponentially small while its integrand on r > 0 is not; the moment is
+    # taken on a turned ray.
+    kernel = kernel_case1 if case == 1 else kernel_case2
+    low, high = kernel_strip(case)
+    for i in range(8):
+        for im in STRIP_GRID_IM[half]:
+            s = complex(low + 0.01 + (high - low - 0.02) * i / 7, im)
+            numeric, _ = kernel(s, KERNEL_CONFIG)
+            want = mpmath_kernel(case, s)
+            assert abs(numeric - want) / abs(want) < 1e-6, s
+
+
+def test_beta_pairing_seeded_against_mpmath():
+    # Exponents with |Im| up to 40: where Im a and Im b have opposite signs,
+    # the integral is exponentially small against its integrand.
+    rng = random.Random(7)
+    for _ in range(40):
+        a = complex(rng.uniform(0.05, 3), rng.uniform(-40, 40))
+        b = complex(rng.uniform(0.05, 3), rng.uniform(-40, 40))
+        with mpmath.workdps(30):
+            total = mpmath.mpc(a) + mpmath.mpc(b)
+            want = complex(2 ** (total - 1) / mpmath.gamma(total))
+        assert abs(beta_P(a, b).numeric - want) / abs(want) < 1e-6, (a, b)
+
+
+def test_beta_pairing_far_from_the_real_axis():
+    # Here w^-a alone is about e^870 and the ray's own factor about e^-900:
+    # each term's factor is one exponential, so nothing overflows.
+    pair = beta_P(0.5 + 300j, 0.5 - 10j)
+    assert abs(pair.numeric - pair.closed) / abs(pair.closed) < 1e-6
+
+
 @pytest.mark.parametrize("case", [1, 2])
 def test_separable_product_is_the_nested_integral(case):
     # Fubini: integrate the displayed two-variable integrand
