@@ -77,34 +77,38 @@ def check_condition_i(
 ) -> Tuple[bool, Optional[InvolutionWitness]]:
     """Pairing condition, with a greedy deterministic witness when it holds.
 
-    Indices of each character value are paired, in normal-form order, with
-    indices of the conjugate-inverse value; kappa_{m,0} with m odd pair
-    among themselves, and kappa_{m,0} with m even stay fixed.
+    Decided by counting, as in the module docstring; only a parameter that
+    passes gets position lists.  Indices of each character value are
+    paired, in normal-form order, with indices of the conjugate-inverse
+    value; kappa_{m,0} with m odd pair among themselves, and kappa_{m,0}
+    with m even stay fixed.
     """
+    counts: dict = {}
+    for c in p.chars:
+        counts[c] = counts.get(c, 0) + 1
+    for c, count in counts.items():
+        if c.s_is_zero:
+            if c.m % 2 and count % 2:
+                return False, None
+        elif counts.get(c.conj_inverse()) != count:
+            return False, None
+
     positions: dict = {}
     for idx, c in enumerate(p.chars, start=1):
         positions.setdefault(c, []).append(idx)
-
     pairs = []
     fixed = []
     for c, idxs in positions.items():
-        if c.s_is_zero:
-            if c.m % 2 == 0:
-                fixed.extend(idxs)
-            elif len(idxs) % 2:
-                return False, None
-            else:
-                pairs.extend(
-                    (idxs[t], idxs[t + 1]) for t in range(0, len(idxs), 2)
-                )
-        else:
-            mates = positions.get(c.conj_inverse())
-            if mates is None or len(mates) != len(idxs):
-                return False, None
+        if not c.s_is_zero:
+            mates = positions[c.conj_inverse()]
             # Equal characters are adjacent in normal form, so the two runs
             # do not interleave: pair them once, from the earlier run.
             if idxs[0] < mates[0]:
                 pairs.extend(zip(idxs, mates))
+        elif c.m % 2:
+            pairs.extend(zip(idxs[::2], idxs[1::2]))
+        else:
+            fixed.extend(idxs)
     witness = InvolutionWitness(tuple(sorted(pairs)), tuple(sorted(fixed)))
     return True, witness
 
@@ -117,8 +121,9 @@ def check_condition_ii(
     for c in p.chars:
         if c.half_integral_odd:
             counts[c] = counts.get(c, 0) + 1
-    failing = sorted((c for c, count in counts.items() if count % 2), key=sort_key)
-    return not failing, tuple(failing)
+    # The counts are in the order of p.chars, which is the normal form.
+    failing = tuple([c for c, count in counts.items() if count % 2])
+    return not failing, failing
 
 
 def is_distinguished_generic(p: LanglandsParameter) -> DistinctionVerdict:
@@ -141,13 +146,6 @@ def is_distinguished_unitary(p: LanglandsParameter) -> DistinctionVerdict:
     )
 
 
-def _block_counts(rep: UnitaryRep) -> dict:
-    counts: dict = {}
-    for b in rep.blocks:
-        counts[b] = counts.get(b, 0) + 1
-    return counts
-
-
 def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     """Blockwise formulation on a unitary block multiset.
 
@@ -155,18 +153,20 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     clause for u = 0 blocks of odd k.  ``failing_characters`` expands each
     block violating (ii) into its constituent characters (one copy each).
     """
-    counts = _block_counts(rep)
+    counts: dict = {}
+    for b in rep.blocks:
+        counts[b] = counts.get(b, 0) + 1
     cond_i = True
-    cond_ii = True
     failing: list = []
     for b, c in counts.items():
         if not b.u_is_zero:
-            if counts.get(b.mirror(), 0) != c:
+            if cond_i and counts.get(b.mirror()) != c:
                 cond_i = False
-        elif isinstance(b, CharBlock) and b.k % 2 == 1 and c % 2 == 1:
-            cond_ii = False
+        elif c % 2 and b.k % 2 and isinstance(b, CharBlock):
             failing.extend(block_characters(b))
-    failing.sort(key=sort_key)
+    cond_ii = not failing
+    if failing:
+        failing.sort(key=sort_key)
     return DistinctionVerdict(
         cond_i and cond_ii, cond_i, cond_ii, None, tuple(failing)
     )

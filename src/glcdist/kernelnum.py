@@ -54,7 +54,9 @@ order, so identical configurations give bit-identical results.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+from operator import itemgetter
 from typing import Callable, NamedTuple, Tuple
 
 from .errors import PreconditionError, QuadratureError
@@ -194,25 +196,26 @@ def adaptive_quad(
     """Integrate a complex integrand over [a, b] adaptively.
 
     ``f`` is scalar: it takes one float and returns one number, and is
-    called once per Kronrod node, 15 times per panel."""
+    called once per Kronrod node, 15 times per panel.  The panels wait in a
+    heap keyed on (-error, left endpoint), and the stop test reads running
+    sums, so each split costs O(log panels)."""
     value, err = _kronrod_panel(f, a, b)
-    intervals = [(a, b, value, err)]
-    while True:
-        total = sum(v for _, _, v, _ in intervals)
-        total_err = sum(e for _, _, _, e in intervals)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            break
-        if len(intervals) >= MAX_SUBDIVISIONS:
+    heap = [(-err, a, b, value)]
+    total, total_err = value, err
+    # A NaN estimate fails the stop test and keeps splitting.
+    while not total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if len(heap) >= MAX_SUBDIVISIONS:
             raise QuadratureError("subdivision limit reached", total_err)
-        worst = max(range(len(intervals)), key=lambda i: (intervals[i][3], -intervals[i][0]))
-        wa, wb, _, _ = intervals[worst]
+        neg_err, wa, wb, worst = heapq.heappop(heap)
         mid = 0.5 * (wa + wb)
-        left = _kronrod_panel(f, wa, mid)
-        right = _kronrod_panel(f, mid, wb)
-        intervals[worst] = (wa, mid, left[0], left[1])
-        intervals.append((mid, wb, right[0], right[1]))
-    intervals.sort(key=lambda item: item[0])
-    return sum(v for _, _, v, _ in intervals)
+        left, left_err = _kronrod_panel(f, wa, mid)
+        right, right_err = _kronrod_panel(f, mid, wb)
+        heapq.heappush(heap, (-left_err, wa, mid, left))
+        heapq.heappush(heap, (-right_err, mid, wb, right))
+        total += left + right - worst
+        total_err += left_err + right_err + neg_err
+    heap.sort(key=itemgetter(1))
+    return sum(v for _, _, _, v in heap)
 
 
 def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:

@@ -23,12 +23,14 @@ for monomial blocks (see derivatives) too.  The ``parse`` methods raise
 InputError on malformed JSON, and PreconditionError past MAX_RANK.
 
 Characters and blocks are immutable (``exactnum.Frozen``, every value in a
-slot), so each computes its derived values once, and ``distinction`` reads
-them instead of re-deriving them per call.  In the constructor: the exact
-sort ``key``, its hash, the flag ``s_is_zero`` or ``u_is_zero``, and for a
-character the (ii) flag ``half_integral_odd`` (m odd, s real, 2s an
-integer).  On first use, and then kept in its slot: a character's partner
-``conj_inverse()`` and a block's u -> -u ``mirror()``.
+slot) and hash-consed: there is one object per ``key`` (building a value
+whose object is alive returns that object), so equality and hash are by
+identity, in C.  Each computes its derived values once, and
+``distinction`` reads them instead of re-deriving them per call.  When the
+object is made: the exact sort ``key``, the flag ``s_is_zero`` or
+``u_is_zero``, and for a character the (ii) flag ``half_integral_odd`` (m
+odd, s real, 2s an integer).  On first use, and then kept in its slot: a
+character's partner ``conj_inverse()`` and a block's u -> -u ``mirror()``.
 
 The ``key`` is a flat tuple that orders exactly as (m, -Re s, -Im s) for a
 character and (kind, n or m, k, Im u, t) for a block, kind 0 for a
@@ -36,13 +38,14 @@ character block and 1 for a complementary series block (a character block
 has no t).  Each rational in it is its continued fraction as ints with
 alternating signs, closed by an infinite float mark (see ``_rational_key``),
 and every int entry is doubled, so none is -1, whose hash CPython shares
-with -2.  The key
-determines every field, so equality is identity or key equality and the hash
-is the key's: sorts, dict lookups and equality call no ``Fraction`` method.
+with -2.  The key determines every field, so it is what the intern table
+looks up.  Sorts compare keys, and dict lookups and equality compare
+identities: none calls a ``Fraction`` method.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -99,19 +102,19 @@ def _rational_key(p: int, q: int) -> list:
 
 
 class _Keyed(Frozen):
-    """Equality and hash by the exact ``key`` set in the constructor."""
+    """One object per exact ``key``, so equality and hash are identity.
 
-    __slots__ = ()
+    A subclass builds its instance in ``__new__`` (an ``__init__`` would run
+    again on every hit): it computes the key and looks it up in its own
+    ``_table``, a ``WeakValueDictionary``.  A hit returns the live object; a
+    miss fills the slots of a new one and enters it.  The table keeps no
+    object alive: an entry goes when the last outside reference to its
+    object does.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.key == other.key
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 # The normal-form order of characters, and the order of blocks.
@@ -121,29 +124,31 @@ sort_key = attrgetter("key")
 class CharacterCx(_Keyed):
     """The character kappa_{m,s} of C^x."""
 
-    __slots__ = ("m", "s", "key", "_hash", "s_is_zero", "half_integral_odd", "_partner")
+    __slots__ = ("m", "s", "key", "s_is_zero", "half_integral_odd", "_partner")
     _fields = ("m", "s")
+    _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
     s: GaussianRational
 
-    def __init__(self, m: int, s: GaussianRational):
+    def __new__(cls, m: int, s: GaussianRational):
         if not isinstance(m, int):
             raise TypeError("twist exponent m must be an integer")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
         key = (
             2 * m,
             *_rational_key(-s.re.numerator, s.re.denominator),
             *_rational_key(-s.im.numerator, s.im.denominator),
         )
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "s_is_zero", s.is_zero())
-        object.__setattr__(
-            self,
-            "half_integral_odd",
-            m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2,
-        )
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "s", s)
+            object.__setattr__(self, "key", key)
+            object.__setattr__(self, "s_is_zero", s.is_zero())
+            odd = m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2
+            object.__setattr__(self, "half_integral_odd", odd)
+            cls._table[key] = self
+        return self
 
     def conj_inverse(self) -> "CharacterCx":
         """The inverse of the conjugate character: kappa_{m,-s}, built on
@@ -220,25 +225,30 @@ class LanglandsParameter:
 class CharBlock(_Keyed):
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
 
-    __slots__ = ("n", "k", "u", "key", "_hash", "u_is_zero", "_mirror")
+    __slots__ = ("n", "k", "u", "key", "u_is_zero", "_mirror")
     _fields = ("n", "k", "u")
+    _table = weakref.WeakValueDictionary()  # keeps no object alive
     n: int
     k: int
     u: GaussianRational
 
-    def __init__(self, n: int, k: int, u: GaussianRational):
+    def __new__(cls, n: int, k: int, u: GaussianRational):
         if n < 1:
             raise InputError("block size must be positive")
         if u.re != 0:
             raise InputError("character block twist u must be purely imaginary")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "u", u)
         im = u.im
         key = (0, 2 * n, 2 * k, *_rational_key(im.numerator, im.denominator))
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "u_is_zero", u.is_zero())
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "key", key)
+            object.__setattr__(self, "u_is_zero", u.is_zero())
+            cls._table[key] = self
+        return self
 
     def mirror(self) -> "CharBlock":
         """The u -> -u block, built on first use and kept."""
@@ -260,24 +270,21 @@ class CharBlock(_Keyed):
 class CompSeriesBlock(_Keyed):
     """Complementary series block on size 2m: twists (k, u), inner +-t, 0<t<1."""
 
-    __slots__ = ("m", "k", "u", "t", "key", "_hash", "u_is_zero", "_mirror")
+    __slots__ = ("m", "k", "u", "t", "key", "u_is_zero", "_mirror")
     _fields = ("m", "k", "u", "t")
+    _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
     k: int
     u: GaussianRational
     t: Fraction
 
-    def __init__(self, m: int, k: int, u: GaussianRational, t: Fraction):
+    def __new__(cls, m: int, k: int, u: GaussianRational, t: Fraction):
         if m < 1:
             raise InputError("block size must be positive")
         if u.re != 0:
             raise InputError("complementary twist u must be purely imaginary")
         if not (0 < t < 1):
             raise InputError("complementary parameter requires 0 < t < 1 strictly")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t", t)
         im = u.im
         key = (
             2,
@@ -286,9 +293,17 @@ class CompSeriesBlock(_Keyed):
             *_rational_key(im.numerator, im.denominator),
             *_rational_key(t.numerator, t.denominator),
         )
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "u_is_zero", u.is_zero())
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "key", key)
+            object.__setattr__(self, "u_is_zero", u.is_zero())
+            cls._table[key] = self
+        return self
 
     def mirror(self) -> "CompSeriesBlock":
         """The u -> -u block, built on first use and kept."""

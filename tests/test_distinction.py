@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 from glcdist.distinction import (
+    DistinctionVerdict,
+    InvolutionWitness,
     check_condition_i,
     check_condition_ii,
     has_exceptional_factor,
@@ -9,7 +11,7 @@ from glcdist.distinction import (
     is_distinguished_generic,
     is_distinguished_unitary,
 )
-from glcdist.equivalence_scan import random_reps
+from glcdist.equivalence_scan import acceptance_block_grid, enumerate_reps, random_reps
 from glcdist.exactnum import GaussianRational
 from glcdist.params import (
     CharBlock,
@@ -17,6 +19,8 @@ from glcdist.params import (
     CompSeriesBlock,
     LanglandsParameter,
     UnitaryRep,
+    block_characters,
+    sort_key,
     to_langlands,
 )
 from glcdist.selftest import random_distinguished_parameter
@@ -188,3 +192,117 @@ class TestInvariants:
             "failing_characters",
         }
         assert blob["witness"]["pairs"] == [[1, 2]]
+
+
+# The verdicts as they were before they were decided by counting: position
+# lists built for every parameter, and every block's mirror looked up.  The
+# counting versions must give the same verdicts, witnesses and order.
+
+
+def _reference_check_condition_i(p):
+    positions: dict = {}
+    for idx, c in enumerate(p.chars, start=1):
+        positions.setdefault(c, []).append(idx)
+
+    pairs = []
+    fixed = []
+    for c, idxs in positions.items():
+        if c.s_is_zero:
+            if c.m % 2 == 0:
+                fixed.extend(idxs)
+            elif len(idxs) % 2:
+                return False, None
+            else:
+                pairs.extend(
+                    (idxs[t], idxs[t + 1]) for t in range(0, len(idxs), 2)
+                )
+        else:
+            mates = positions.get(c.conj_inverse())
+            if mates is None or len(mates) != len(idxs):
+                return False, None
+            if idxs[0] < mates[0]:
+                pairs.extend(zip(idxs, mates))
+    witness = InvolutionWitness(tuple(sorted(pairs)), tuple(sorted(fixed)))
+    return True, witness
+
+
+def _reference_check_condition_ii(p):
+    counts: dict = {}
+    for c in p.chars:
+        if c.half_integral_odd:
+            counts[c] = counts.get(c, 0) + 1
+    failing = sorted((c for c, count in counts.items() if count % 2), key=sort_key)
+    return not failing, tuple(failing)
+
+
+def _reference_is_distinguished_unitary(p):
+    cond_i, witness = _reference_check_condition_i(p)
+    cond_ii, failing = _reference_check_condition_ii(p)
+    return DistinctionVerdict(cond_i and cond_ii, cond_i, cond_ii, witness, failing)
+
+
+def _reference_is_distinguished_blocks(rep):
+    counts: dict = {}
+    for b in rep.blocks:
+        counts[b] = counts.get(b, 0) + 1
+    cond_i = True
+    cond_ii = True
+    failing: list = []
+    for b, c in counts.items():
+        if not b.u_is_zero:
+            if counts.get(b.mirror(), 0) != c:
+                cond_i = False
+        elif isinstance(b, CharBlock) and b.k % 2 == 1 and c % 2 == 1:
+            cond_ii = False
+            failing.extend(block_characters(b))
+    failing.sort(key=sort_key)
+    return DistinctionVerdict(cond_i and cond_ii, cond_i, cond_ii, None, tuple(failing))
+
+
+def fresh_character(m: int, re: Fraction, im: Fraction) -> CharacterCx:
+    """kappa_{m, re + i im}, built from rationals no other object shares."""
+    return CharacterCx(m, GaussianRational(Fraction(re.numerator, re.denominator), Fraction(im.numerator, im.denominator)))
+
+
+def random_parameter(rng: random.Random) -> LanglandsParameter:
+    """Up to four character values, each repeated up to three times, most
+    with some copies of their conjugate-inverse; a quarter of the values are
+    kappa_{m,0} with m odd, and a sixth kappa_{m,0} with m even."""
+    chars = []
+    for _ in range(rng.randint(1, 4)):
+        draw = rng.random()
+        if draw < 0.25:
+            m, re, im = rng.randrange(-3, 4, 2), Fraction(0), Fraction(0)
+        elif draw < 0.42:
+            m, re, im = rng.randrange(-2, 3, 2), Fraction(0), Fraction(0)
+        else:
+            m = rng.randint(-2, 2)
+            re = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+            im = Fraction(rng.choice((0, 0, 1, -2)), rng.choice((1, 2)))
+        copies = rng.randint(1, 3)
+        chars += [fresh_character(m, re, im) for _ in range(copies)]
+        if rng.random() < 0.7:
+            chars += [fresh_character(m, -re, -im) for _ in range(rng.choice((copies, copies, copies + 1)))]
+    return LanglandsParameter(chars)
+
+
+class TestAgainstReference:
+    def test_grid_multisets_to_size_4(self):
+        reps = [UnitaryRep(combo) for combo in enumerate_reps(acceptance_block_grid(), 4)]
+        assert len(reps) == 11315
+        for rep in reps:
+            p = to_langlands(rep)
+            assert is_distinguished_unitary(p) == _reference_is_distinguished_unitary(p), rep
+            assert is_distinguished_blocks(rep) == _reference_is_distinguished_blocks(rep), rep
+
+    def test_seeded_parameters(self):
+        rng = random.Random(101)
+        outcomes = set()
+        for _ in range(500):
+            p = random_parameter(rng)
+            verdict = is_distinguished_unitary(p)
+            assert verdict == _reference_is_distinguished_unitary(p), p
+            assert is_distinguished_generic(p) == verdict._replace(distinguished=verdict.condition_i)
+            outcomes.add((verdict.condition_i, verdict.condition_ii))
+        # Both conditions pass and fail, in every combination.
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

@@ -140,6 +140,38 @@ def test_no_module_level_memo(path):
     assert module_level_memos(path.read_text(encoding="utf-8")) == []
 
 
+KEYED_FORBIDDEN = ("__init__", "__eq__", "__hash__")
+
+
+def keyed_overrides(source: str) -> tuple:
+    """(subclasses of ``_Keyed``, the ``__init__``, ``__eq__`` or
+    ``__hash__`` each defines or assigns).  A hash-consed class builds its
+    object in ``__new__``, as an ``__init__`` would run again on every hit,
+    and compares and hashes by identity only."""
+    keyed = ["_Keyed"]
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in keyed for b in node.bases):
+            keyed.append(node.name)
+            found += [f"{node.name}.{n}" for item in node.body for n in assigned_names(item) if n in KEYED_FORBIDDEN]
+    return keyed[1:], found
+
+
+def test_detects_a_keyed_override():
+    source = (
+        "class _Keyed(Frozen):\n    __hash__ = object.__hash__\n"
+        "class A(_Keyed):\n    def __new__(cls): pass\n"
+        "class B(A):\n    def __init__(self): pass\n    __eq__ = None\n"
+        "class C(Frozen):\n    def __hash__(self): pass\n"
+    )
+    assert keyed_overrides(source) == (["A", "B"], ["B.__init__", "B.__eq__"])
+
+
+def test_keyed_classes_keep_identity():
+    source = (Path(glcdist.__file__).parent / "params.py").read_text(encoding="utf-8")
+    assert keyed_overrides(source) == (["CharacterCx", "CharBlock", "CompSeriesBlock"], [])
+
+
 def imported_modules(source: str) -> set:
     """The top-level package of every absolute import in ``source``."""
     out = set()

@@ -135,6 +135,54 @@ class TestQuadrature:
                 angular_moment(p, FAST)
 
 
+def _reference_adaptive_quad(f, a, b, cfg):
+    """The list-based integrator the heap replaced: every split re-sums all
+    panels and scans them for the worst (largest error, then leftmost)."""
+    value, err = kernelnum._kronrod_panel(f, a, b)
+    intervals = [(a, b, value, err)]
+    while True:
+        total = sum(v for _, _, v, _ in intervals)
+        total_err = sum(e for _, _, _, e in intervals)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            break
+        if len(intervals) >= kernelnum.MAX_SUBDIVISIONS:
+            raise QuadratureError("subdivision limit reached", total_err)
+        worst = max(range(len(intervals)), key=lambda i: (intervals[i][3], -intervals[i][0]))
+        wa, wb, _, _ = intervals[worst]
+        mid = 0.5 * (wa + wb)
+        left = kernelnum._kronrod_panel(f, wa, mid)
+        right = kernelnum._kronrod_panel(f, mid, wb)
+        intervals[worst] = (wa, mid, left[0], left[1])
+        intervals.append((mid, wb, right[0], right[1]))
+    intervals.sort(key=lambda item: item[0])
+    return sum(v for _, _, v, _ in intervals)
+
+
+def test_heap_integrator_matches_the_list_reference(monkeypatch):
+    # Same split order and same left-to-right sum: bit-identical rows.
+    samples = [complex(re, im) for re in (-0.3, 0.2, 0.99) for im in (0.3, 60, -100)]
+    rows = [kernel_row(s, case) for s in samples for case in KERNEL_CASES]
+    monkeypatch.setattr(kernelnum, "adaptive_quad", _reference_adaptive_quad)
+    assert rows == [kernel_row(s, case) for s in samples for case in KERNEL_CASES]
+
+
+def seeded_exponents(count: int) -> list:
+    """Seeded p with -0.9 < Re p < 4 and |Im p| <= 100."""
+    rng = random.Random(11)
+    return [complex(rng.uniform(-0.9, 4), rng.uniform(-100, 100)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_angular_moment_seeded_against_mpmath(part):
+    # A(p) = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1); 100 exponents, in
+    # four parts so that each test stays short.
+    for p in seeded_exponents(100)[part::4]:
+        with mpmath.workdps(30):
+            q = mpmath.mpc(p.real, p.imag)
+            want = complex(2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma((q + 1) / 2) / mpmath.gamma(q / 2 + 1))
+        assert abs(angular_moment(p, KERNEL_CONFIG) - want) / abs(want) < 1e-6, p
+
+
 # The self-test's special-function grid, and exponents near the edge of the
 # domain Re a > 0, Re b > 0.
 BETA_GRID = [complex(r, i) for r in (0.5, 1.0, 1.5, 3.0) for i in (0.0, 0.5)]

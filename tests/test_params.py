@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -110,7 +111,7 @@ def check_same_order(values) -> None:
 def check_character_cache(c: CharacterCx) -> None:
     """Each value a character keeps equals its recomputation from the fields."""
     again = CharacterCx(c.m, fresh(c.s))
-    assert again is not c and again == c and hash(again) == hash(c) and again.key == c.key
+    assert again is c and again == c and hash(again) == hash(c) and again.key == c.key
     assert hash(c.s) == hash(fresh(c.s)) == hash((c.s.re, c.s.im))
     assert all(isinstance(e, int) or abs(e) == math.inf for e in c.key)
     assert c != CharacterCx(c.m + 1, c.s) and c != CharacterCx(c.m, c.s + GaussianRational(0, 1))
@@ -129,7 +130,7 @@ def check_block_cache(b) -> None:
     else:
         again = CompSeriesBlock(b.m, b.k, fresh(b.u), Fraction(b.t.numerator, b.t.denominator))
         mirror = CompSeriesBlock(b.m, b.k, -b.u, b.t)
-    assert again is not b and again == b and hash(again) == hash(b) and again.key == b.key
+    assert again is b and again == b and hash(again) == hash(b) and again.key == b.key
     assert hash(b.u) == hash(fresh(b.u)) == hash((b.u.re, b.u.im))
     assert all(isinstance(e, int) or abs(e) == math.inf for e in b.key)
     assert b.u_is_zero == (b.u == GaussianRational(0))
@@ -185,6 +186,50 @@ class TestCachedValues:
     @given(st.lists(st.one_of(char_blocks, comp_blocks, wide_blocks), min_size=1, max_size=8))
     def test_drawn_block_order(self, blocks):
         check_same_order(blocks)
+
+
+class TestInterning:
+    def test_one_object_per_value(self):
+        # The grid, and rationals whose floats tie or that have 70-bit terms.
+        chars = GRID_CHARACTERS + [CharacterCx(m, GaussianRational(re, im)) for m in (-1, 0) for re in TIES for im in TIES]
+        blocks = GRID_BLOCKS + [CharBlock(2, -1, GaussianRational(0, x)) for x in TIES]
+        blocks += [CompSeriesBlock(1, 1, GaussianRational(0, x), t) for x in TIES for t in INNER_T]
+        for c in chars:
+            assert CharacterCx(c.m, fresh(c.s)) is c
+            assert c.conj_inverse() is CharacterCx(c.m, -c.s)
+            assert c.conj_inverse().conj_inverse() is c
+        for b in blocks:
+            if isinstance(b, CharBlock):
+                assert b.mirror() is CharBlock(b.n, b.k, -b.u)
+            else:
+                assert b.mirror() is CompSeriesBlock(b.m, b.k, -b.u, b.t)
+            assert b.mirror().mirror() is b
+
+    def test_tables_keep_nothing_alive(self):
+        # 1,000 values of each class that no other test builds, each in a
+        # reference cycle with its partner or mirror; once they are dropped,
+        # the tables are as before.
+        tables = (CharacterCx._table, CharBlock._table, CompSeriesBlock._table)
+        gc.collect()
+        before = [len(t) for t in tables]
+        assert [n - m for n, m in zip(self.build_and_count(tables), before)] == [2000, 2000, 2000]
+        gc.collect()
+        assert [len(t) for t in tables] == before
+
+    @staticmethod
+    def build_and_count(tables) -> list:
+        """Table sizes with the values alive; they live in this frame only,
+        so none outlives the call."""
+        values = []
+        for i in range(1000):
+            x = Fraction(10**12 + i, 7919)
+            values.append(CharacterCx(i % 5, GaussianRational(x, -x)))
+            values.append(CharBlock(1 + i % 3, i % 5, GaussianRational(0, x)))
+            values.append(CompSeriesBlock(1, i % 5, GaussianRational(0, x), Fraction(1, 3)))
+        for v in values:
+            flip = CharacterCx.conj_inverse if isinstance(v, CharacterCx) else type(v).mirror
+            assert flip(v) is not v and flip(flip(v)) is v
+        return [len(t) for t in tables]
 
 
 class TestCharacterOps:
