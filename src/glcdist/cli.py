@@ -80,10 +80,10 @@ def _decode(text: str, source: str):
 
 def _parse_input(args, parse, what: str):
     """The --input file or --inline JSON, read by ``parse``."""
-    if getattr(args, "inline", None):
+    if args.inline is not None:
         text = args.inline
         source = "<inline>"
-    elif getattr(args, "input", None):
+    elif args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -181,16 +181,15 @@ def _emit(report: dict, args, text_lines) -> None:
 
     The report is encoded only when --json or --output asks for it.
     """
-    output = getattr(args, "output", None)
-    as_json = getattr(args, "json", False)
-    payload = _encode(report) if output or as_json else None
-    if output:
+    output = args.output
+    payload = _encode(report) if output is not None or args.json else None
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
-    if as_json:
+    if args.json:
         print(payload)
     else:
         for line in text_lines:
@@ -355,7 +354,7 @@ def cmd_cosets(args) -> int:
     }
     criteria = ["involution-count-recurrence", "twisted-conjugation-check"]
     lines = [f"{len(involutions)} involutions on {args.n} letters, representatives verified: {verified}"]
-    if args.comp:
+    if args.comp is not None:
         parts = _parse_composition(args.comp)
         comp = Composition(parts)
         if comp.n != args.n:
@@ -452,46 +451,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p, with_mode=False):
+    def add_input(p):
         p.add_argument("--input", help="path to a JSON input file")
         p.add_argument("--inline", help="inline JSON input")
+
+    def add_output(p):
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--output", help="also write the JSON report to this path")
-        if with_mode:
-            p.add_argument(
-                "--mode", choices=("generic", "unitary"), default="unitary",
-                help="which classification applies (caller asserts the hypothesis)",
-            )
 
     p = sub.add_parser("classify", help="distinction verdicts")
-    add_io(p, with_mode=True)
+    add_input(p)
+    add_output(p)
+    p.add_argument(
+        "--mode", choices=("generic", "unitary"), default="unitary",
+        help="which classification applies (caller asserts the hypothesis)",
+    )
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("ktype", help="lowest and minimal even K-types")
-    add_io(p)
+    add_input(p)
+    add_output(p)
     p.add_argument("--radius", type=int, help="run the brute-force oracle to this radius")
     p.set_defaults(fn=cmd_ktype)
 
     p = sub.add_parser("derive", help="highest-derivative stages and necessity test")
-    add_io(p)
+    add_input(p)
+    add_output(p)
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("eps", help="central-point factor of a parameter")
-    add_io(p)
+    add_input(p)
+    add_output(p)
     p.add_argument("--b", default="0,1", help='twist b as "re,im" rationals (default "0,1" = i)')
     p.set_defaults(fn=cmd_eps)
 
     p = sub.add_parser("cosets", help="involutions, classes, orbit dimensions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--comp", help='composition, e.g. "2,2"')
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
+    add_output(p)
     p.set_defaults(fn=cmd_cosets)
 
     p = sub.add_parser("verify-kernel", help="kernel quadrature vs closed forms")
     p.add_argument("--samples", default="0,0.2,0.4,0.2+0.3j", help="comma-separated complex samples")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
+    add_output(p)
     p.set_defaults(fn=cmd_verify_kernel)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

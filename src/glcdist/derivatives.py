@@ -40,13 +40,13 @@ class MonomialBlock(Frozen):
         return {"k": self.k, "s": self.s.to_json(), "size": self.size}
 
 
-class MonomialRep:
+class MonomialRep(Frozen):
     """An ordered sequence of character blocks; may be empty (size-0 group)."""
 
-    __slots__ = ("blocks",)
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks=()):
-        self.blocks = tuple(blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def depth(self) -> int:
@@ -58,12 +58,6 @@ class MonomialRep:
 
     def is_empty(self) -> bool:
         return not self.blocks
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialRep) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
 
     def __repr__(self):
         return f"MonomialRep({[(b.k, str(b.s), b.size) for b in self.blocks]})"

@@ -11,8 +11,9 @@ decided by the caller (``cosets``).  Exact input from outside the program
 is read here too, by ``read_int`` and ``read_rational``.
 
 Everything is immutable after construction and every function is pure.
-The value types of the package derive from ``Frozen``: slots set once by
-the constructor, equality, hash and repr by field.
+Every value type of the package, the containers of characters and blocks
+included, derives from ``Frozen``: slots set once by the constructor,
+equality, hash and repr by field (by identity for interned ones).
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ class GaussianRational(Frozen):
         # Fractions first: every arithmetic result comes through here.
         object.__setattr__(self, "re", re if isinstance(re, Fraction) else read_rational(re))
         object.__setattr__(self, "im", im if isinstance(im, Fraction) else read_rational(im))
-
-    # The scalar's equality and hash, written out: they are hot.
-    def __eq__(self, other):
-        if other.__class__ is GaussianRational:
-            return (self.re, self.im) == (other.re, other.im)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     # -- field operations -------------------------------------------------
 

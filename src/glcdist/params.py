@@ -9,7 +9,8 @@ Conventions, fixed once for the whole package:
 *   A parameter is a multiset of n such characters.  Its normal form sorts
     by (m ascending, Re s descending, Im s descending), so equality of
     normal forms is multiset equality and reported witnesses are
-    deterministic.
+    deterministic.  Parameters and block multisets are ``Frozen``: the
+    normal form is set once and cannot be reassigned.
 *   A unitary representation is described by a multiset of blocks: either a
     unitary character block on size n (twist exponent k, with |det|^u,
     u purely imaginary), or a complementary-series block on size 2m
@@ -176,25 +177,20 @@ class CharacterCx(_Keyed):
         return f"k[{self.m},{self.s}]"
 
 
-class LanglandsParameter:
+class LanglandsParameter(Frozen):
     """A multiset of characters of C^x, kept in normal form."""
 
-    __slots__ = ("chars",)
+    __slots__ = _fields = ("chars",)
 
     def __init__(self, chars: Iterable[CharacterCx]):
-        self.chars = tuple(sorted(chars, key=sort_key))
-        if not self.chars:
+        chars = tuple(sorted(chars, key=sort_key))
+        if not chars:
             raise InputError("a parameter needs at least one character")
+        object.__setattr__(self, "chars", chars)
 
     @property
     def n(self) -> int:
         return len(self.chars)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LanglandsParameter) and self.chars == other.chars
-
-    def __hash__(self) -> int:
-        return hash(self.chars)
 
     def __iter__(self):
         return iter(self.chars)
@@ -331,25 +327,20 @@ class CompSeriesBlock(_Keyed):
 UnitaryBlock = Union[CharBlock, CompSeriesBlock]
 
 
-class UnitaryRep:
+class UnitaryRep(Frozen):
     """A multiset of unitary blocks; total size is the sum of block sizes."""
 
-    __slots__ = ("blocks",)
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: Iterable[UnitaryBlock]):
-        self.blocks = tuple(sorted(blocks, key=sort_key))
-        if not self.blocks:
+        blocks = tuple(sorted(blocks, key=sort_key))
+        if not blocks:
             raise InputError("a unitary representation needs at least one block")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:
         return sum(b.size for b in self.blocks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnitaryRep) and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
 
     def __iter__(self):
         return iter(self.blocks)

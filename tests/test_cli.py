@@ -424,6 +424,10 @@ BAD_INPUTS = [
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
     (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),
+    # An empty flag value is read like any other, not taken for a missing flag.
+    (["cosets", "--n", "3", "--comp", ""], 2),
+    (["classify", "--inline", ""], 1),
+    (["classify", "--output", "", "--inline", langlands()], 1),
     # Work with no bound before MAX_RANK and EPS_MAX_BITS; each ends at once.
     (["classify", "--json", "--inline", '{"type":"unitary","blocks":[{"kind":"char","n":10000000,"k":0,"u":"0"}]}'], 2),
     (["derive", "--inline", '{"type":"monomial","blocks":[{"size":1000,"k":1,"s":"0"}]}'], 2),

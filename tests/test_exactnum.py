@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glcdist.cosets import Composition, Involution
-from glcdist.derivatives import MonomialBlock
+from glcdist.derivatives import MonomialBlock, MonomialRep
 from glcdist.distinction import InvolutionWitness
 from glcdist.errors import InputError
 from glcdist.factors import AdditiveCharacterSpec, ExactEps
 from glcdist.kernelnum import QuadratureConfig
-from glcdist.params import CharacterCx, CharBlock, CompSeriesBlock
+from glcdist.params import CharacterCx, CharBlock, CompSeriesBlock, LanglandsParameter, UnitaryRep
 from glcdist.selftest import CriterionResult
 from glcdist.exactnum import (
     GQ_I,
@@ -80,6 +80,21 @@ VALUE_TYPES = [
     ),
     (lambda: InvolutionWitness(((1, 2),), (3,)), "pairs", "InvolutionWitness(pairs=((1, 2),), fixed=(3,))"),
     (lambda: MonomialBlock(1, gq(0), 2), "size", "MonomialBlock(k=1, s=GaussianRational(0, 0), size=2)"),
+    (
+        lambda: LanglandsParameter([CharacterCx(1, gq(0)), CharacterCx(0, gq("1/2"))]),
+        "chars",
+        "LanglandsParameter({k[0,1/2], k[1,0]})",
+    ),
+    (
+        lambda: UnitaryRep([CharBlock(1, 0, gq(0)), CharBlock(2, 1, gq(0, 1))]),
+        "blocks",
+        "UnitaryRep([CharBlock(n=1, k=0, u=GaussianRational(0, 0)), CharBlock(n=2, k=1, u=GaussianRational(0, 1))])",
+    ),
+    (
+        lambda: MonomialRep([MonomialBlock(1, gq(0), 2), MonomialBlock(0, gq("1/2"), 1)]),
+        "blocks",
+        "MonomialRep([(1, '0', 2), (0, '1/2', 1)])",
+    ),
     (lambda: Involution((2, 1, 3)), "perm", "Involution(2, 1, 3)"),
     (lambda: Composition((2, 2)), "parts", "Composition(parts=(2, 2))"),
     (lambda: AdditiveCharacterSpec(gq(0, 1)), "b", "AdditiveCharacterSpec(b=GaussianRational(0, 1))"),

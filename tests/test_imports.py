@@ -172,6 +172,38 @@ def test_keyed_classes_keep_identity():
     assert keyed_overrides(source) == (["CharacterCx", "CharBlock", "CompSeriesBlock"], [])
 
 
+EQUALITY = ("__eq__", "__hash__")
+
+
+def equality_definers(source: str) -> list:
+    """``Class.name`` for every ``__eq__`` or ``__hash__`` a class defines
+    or assigns in its body, at any depth of ``source``."""
+    return [
+        f"{node.name}.{name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        for name in assigned_names(item)
+        if name in EQUALITY
+    ]
+
+
+def test_detects_an_equality_definer():
+    source = (
+        "class Frozen:\n    def __eq__(self, other): pass\n    def __hash__(self): pass\n"
+        "class A(Frozen):\n    __hash__ = None\n    def key(self): pass\n"
+        "def f():\n    class B:\n        __eq__ = __hash__ = object.__eq__\n"
+    )
+    assert equality_definers(source) == ["Frozen.__eq__", "Frozen.__hash__", "A.__hash__", "B.__eq__", "B.__hash__"]
+
+
+def test_equality_is_written_only_in_the_bases():
+    # A value type compares by field through Frozen, or by identity through
+    # the interned _Keyed; no other class writes its own equality or hash.
+    found = [name for path in MODULES for name in equality_definers(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == ["Frozen.__eq__", "Frozen.__hash__", "_Keyed.__eq__", "_Keyed.__hash__"]
+
+
 def imported_modules(source: str) -> set:
     """The top-level package of every absolute import in ``source``."""
     out = set()
