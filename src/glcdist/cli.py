@@ -206,6 +206,11 @@ def _parse_twist(spec: str) -> GaussianRational:
     )
 
 
+def _parse_integer(spec: str, flag: str) -> int:
+    """A flag read as one JSON integer: "7", but not "7.0", "1_0" or "\uff13"."""
+    return read_int(_decode(spec, flag), flag)
+
+
 def _parse_composition(spec: str) -> tuple:
     """--comp read as the parts of a JSON array: "2,3" is [2, 3]."""
     parts = _decode(f"[{spec}]", f"--comp (read as [{spec}])")
@@ -259,6 +264,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ktype(args) -> int:
+    radius = None if args.radius is None else _parse_integer(args.radius, "--radius")
     _, param = _read_parameter(args)
     inputs = {"parameter": param.to_json()}
     low = lowest_ktype(param)
@@ -273,13 +279,13 @@ def cmd_ktype(args) -> int:
         f"lowest K-type: {low}",
         f"distinguished minimal K-type: {minimal}",
     ]
-    if args.radius is not None:
-        inputs["radius"] = args.radius
-        oracle = minimal_distinguished_ktype_oracle(param, args.radius)
+    if radius is not None:
+        inputs["radius"] = radius
+        oracle = minimal_distinguished_ktype_oracle(param, radius)
         results["oracle_minimizers"] = [list(w) for w in sorted(oracle)]
         results["oracle_agrees"] = oracle == {minimal}
         criteria.append("torus-weight-oracle")
-        lines.append(f"oracle minimizers (radius {args.radius}): {sorted(oracle)}")
+        lines.append(f"oracle minimizers (radius {radius}): {sorted(oracle)}")
     _emit(_report("ktype", inputs, results, criteria), args, lines)
     return EXIT_OK
 
@@ -344,24 +350,25 @@ def cmd_eps(args) -> int:
 
 
 def cmd_cosets(args) -> int:
-    involutions = enumerate_involutions(args.n)
-    inputs = {"n": args.n}
-    verified = representatives_verified(args.n)
+    n = _parse_integer(args.n, "--n")
+    involutions = enumerate_involutions(n)
+    inputs = {"n": n}
+    verified = representatives_verified(n)
     results = {
         "count": len(involutions),
         "involutions": [w.to_json() for w in involutions],
         "representatives_verified": verified,
     }
     criteria = ["involution-count-recurrence", "twisted-conjugation-check"]
-    lines = [f"{len(involutions)} involutions on {args.n} letters, representatives verified: {verified}"]
+    lines = [f"{len(involutions)} involutions on {n} letters, representatives verified: {verified}"]
     if args.comp is not None:
         parts = _parse_composition(args.comp)
         comp = Composition(parts)
-        if comp.n != args.n:
-            raise InputError(f"--comp {args.comp} does not sum to n = {args.n}")
+        if comp.n != n:
+            raise InputError(f"--comp {args.comp} does not sum to n = {n}")
         classes = parabolic_classes(comp)
         dims = class_dimensions(classes)
-        full = 2 * args.n * args.n
+        full = 2 * n * n
         results["composition"] = list(parts)
         results["classes"] = [[w.to_json() for w in cls] for cls in classes]
         results["class_dimensions"] = dims
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ktype", help="lowest and minimal even K-types")
     add_input(p)
     add_output(p)
-    p.add_argument("--radius", type=int, help="run the brute-force oracle to this radius")
+    p.add_argument("--radius", help="run the brute-force oracle to this radius (a JSON integer)")
     p.set_defaults(fn=cmd_ktype)
 
     p = sub.add_parser("derive", help="highest-derivative stages and necessity test")
@@ -482,17 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eps", help="central-point factor of a parameter")
     add_input(p)
     add_output(p)
-    p.add_argument("--b", default="0,1", help='twist b as "re,im" rationals (default "0,1" = i)')
+    p.add_argument(
+        "--b", default="0,1", help='twist b as "re,im" rationals (default "0,1" = i); a leading minus needs --b=-1,0'
+    )
     p.set_defaults(fn=cmd_eps)
 
     p = sub.add_parser("cosets", help="involutions, classes, orbit dimensions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True, help="number of letters (a JSON integer)")
     p.add_argument("--comp", help='composition, e.g. "2,2"')
     add_output(p)
     p.set_defaults(fn=cmd_cosets)
 
     p = sub.add_parser("verify-kernel", help="kernel quadrature vs closed forms")
-    p.add_argument("--samples", default="0,0.2,0.4,0.2+0.3j", help="comma-separated complex samples")
+    p.add_argument(
+        "--samples", default="0,0.2,0.4,0.2+0.3j",
+        help="comma-separated complex samples; a leading minus needs --samples=-0.3+1j",
+    )
     add_output(p)
     p.set_defaults(fn=cmd_verify_kernel)
 

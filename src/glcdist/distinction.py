@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .params import (
-    CharBlock,
     CharacterCx,
     LanglandsParameter,
     UnitaryRep,
@@ -150,8 +149,9 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     """Blockwise formulation on a unitary block multiset.
 
     condition_i here is (ia) and (ib); condition_ii the even-multiplicity
-    clause for u = 0 blocks of odd k.  ``failing_characters`` expands each
-    block violating (ii) into its constituent characters (one copy each).
+    clause for the blocks whose ``needs_even`` flag is set (character blocks
+    with u = 0 and odd k).  ``failing_characters`` expands each block
+    violating (ii) into its constituent characters (one copy each).
     """
     counts: dict = {}
     for b in rep.blocks:
@@ -162,7 +162,7 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
         if not b.u_is_zero:
             if cond_i and counts.get(b.mirror()) != c:
                 cond_i = False
-        elif c % 2 and b.k % 2 and isinstance(b, CharBlock):
+        elif c % 2 and b.needs_even:
             failing.extend(block_characters(b))
     cond_ii = not failing
     if failing:
@@ -175,12 +175,9 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
 def has_exceptional_factor(rep: UnitaryRep) -> bool:
     """Detect blocks whose minimal-K-type non-vanishing guarantee is waived.
 
-    True iff some character block of size n >= 2 with odd k and u = 0
-    appears; such a block contributes characters with m odd and nonzero
-    half-integral exponent, the one family excluded from the test-vector
-    statement.
+    True iff some block of size >= 2 has its ``needs_even`` flag set, that
+    is a character block of size n >= 2 with odd k and u = 0; such a block
+    contributes characters with m odd and nonzero half-integral exponent,
+    the one family excluded from the test-vector statement.
     """
-    return any(
-        isinstance(b, CharBlock) and b.n >= 2 and b.k % 2 == 1 and b.u_is_zero
-        for b in rep.blocks
-    )
+    return any(b.needs_even and b.size >= 2 for b in rep.blocks)

@@ -109,9 +109,7 @@ def _component_tallies(members: Sequence, budget: int, seen: set):
     char_even = [j for j, c in enumerate(chars) if c.half_integral_odd]
     mirror = [_position(index, b.mirror(), "mirror", b) for b in members]
     block_pairs = [(b, p) for b, p in enumerate(mirror) if b < p]
-    block_even = [
-        i for i, b in enumerate(members) if isinstance(b, CharBlock) and b.u_is_zero and b.k % 2
-    ]
+    block_even = [i for i, b in enumerate(members) if b.needs_even]
     size = [b.size for b in members]
     cnt_block = [0] * len(members)
     cnt_char = [0] * len(chars)

@@ -26,12 +26,16 @@ InputError on malformed JSON, and PreconditionError past MAX_RANK.
 Characters and blocks are immutable (``exactnum.Frozen``, every value in a
 slot) and hash-consed: there is one object per ``key`` (building a value
 whose object is alive returns that object), so equality and hash are by
-identity, in C.  Each computes its derived values once, and
-``distinction`` reads them instead of re-deriving them per call.  When the
-object is made: the exact sort ``key``, the flag ``s_is_zero`` or
-``u_is_zero``, and for a character the (ii) flag ``half_integral_odd`` (m
-odd, s real, 2s an integer).  On first use, and then kept in its slot: a
-character's partner ``conj_inverse()`` and a block's u -> -u ``mirror()``.
+identity, in C.  One recipe, ``_Keyed``, builds all three: a ``__new__``
+checks its arguments and looks its key up first, and only on a miss
+computes the derived values that ``_Keyed._enter`` stores: the flag
+``s_is_zero`` or ``u_is_zero``, a block's ``size`` (n, or 2m), and the (ii)
+flag, ``half_integral_odd`` for a character (m odd, s real, 2s an integer)
+and ``needs_even`` for a block (a character block with u = 0 and odd k).
+The partner, a character's ``conj_inverse()`` or a block's u -> -u
+``mirror()``, is built on first use and kept in the one ``_partner`` slot.
+``distinction`` and ``equivalence_scan`` read these slots, so no other
+module tests which kind a block is.
 
 The ``key`` is a flat tuple that orders exactly as (m, -Re s, -Im s) for a
 character and (kind, n or m, k, Im u, t) for a block, kind 0 for a
@@ -106,16 +110,34 @@ class _Keyed(Frozen):
     """One object per exact ``key``, so equality and hash are identity.
 
     A subclass builds its instance in ``__new__`` (an ``__init__`` would run
-    again on every hit): it computes the key and looks it up in its own
-    ``_table``, a ``WeakValueDictionary``.  A hit returns the live object; a
-    miss fills the slots of a new one and enters it.  The table keeps no
-    object alive: an entry goes when the last outside reference to its
-    object does.
+    again on every hit): it checks its arguments, computes the key and looks
+    it up in its own ``_table``, a ``WeakValueDictionary``.  A hit returns
+    the live object; a miss calls ``_enter``, which fills the slots of a new
+    one and enters it.  The table keeps no object alive: an entry goes when
+    the last outside reference to its object does.  Every slot is set here,
+    the lazy ``_partner`` by ``_keep_partner``.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "key", "_partner")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @classmethod
+    def _enter(cls, key: tuple, *values):
+        """A new object with ``key``, and ``values`` in the subclass's own
+        ``__slots__`` in their order, entered in the table."""
+        self = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(self, "key", key)
+        for name, value in zip(cls.__slots__, values):
+            setattr_(self, name, value)
+        cls._table[key] = self
+        return self
+
+    def _keep_partner(self, partner):
+        """``partner``, kept in the ``_partner`` slot for the next call."""
+        object.__setattr__(self, "_partner", partner)
+        return partner
 
 
 # The normal-form order of characters, and the order of blocks.
@@ -125,7 +147,7 @@ sort_key = attrgetter("key")
 class CharacterCx(_Keyed):
     """The character kappa_{m,s} of C^x."""
 
-    __slots__ = ("m", "s", "key", "s_is_zero", "half_integral_odd", "_partner")
+    __slots__ = ("m", "s", "s_is_zero", "half_integral_odd")
     _fields = ("m", "s")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
@@ -140,16 +162,10 @@ class CharacterCx(_Keyed):
             *_rational_key(-s.im.numerator, s.im.denominator),
         )
         self = cls._table.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "s", s)
-            object.__setattr__(self, "key", key)
-            object.__setattr__(self, "s_is_zero", s.is_zero())
-            odd = m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2
-            object.__setattr__(self, "half_integral_odd", odd)
-            cls._table[key] = self
-        return self
+        if self is not None:
+            return self
+        odd = m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2
+        return cls._enter(key, m, s, s.is_zero(), odd)
 
     def conj_inverse(self) -> "CharacterCx":
         """The inverse of the conjugate character: kappa_{m,-s}, built on
@@ -161,9 +177,7 @@ class CharacterCx(_Keyed):
         try:
             return self._partner
         except AttributeError:
-            partner = self if self.s_is_zero else CharacterCx(self.m, -self.s)
-            object.__setattr__(self, "_partner", partner)
-            return partner
+            return self._keep_partner(self if self.s_is_zero else CharacterCx(self.m, -self.s))
 
     def to_json(self) -> dict:
         return {"m": self.m, "s": self.s.to_json()}
@@ -221,7 +235,7 @@ class LanglandsParameter(Frozen):
 class CharBlock(_Keyed):
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
 
-    __slots__ = ("n", "k", "u", "key", "u_is_zero", "_mirror")
+    __slots__ = ("n", "k", "u", "u_is_zero", "size", "needs_even")
     _fields = ("n", "k", "u")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     n: int
@@ -236,28 +250,17 @@ class CharBlock(_Keyed):
         im = u.im
         key = (0, 2 * n, 2 * k, *_rational_key(im.numerator, im.denominator))
         self = cls._table.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "key", key)
-            object.__setattr__(self, "u_is_zero", u.is_zero())
-            cls._table[key] = self
-        return self
+        if self is not None:
+            return self
+        u_is_zero = u.is_zero()
+        return cls._enter(key, n, k, u, u_is_zero, n, u_is_zero and k % 2 == 1)
 
     def mirror(self) -> "CharBlock":
         """The u -> -u block, built on first use and kept."""
         try:
-            return self._mirror
+            return self._partner
         except AttributeError:
-            mirror = self if self.u_is_zero else CharBlock(self.n, self.k, -self.u)
-            object.__setattr__(self, "_mirror", mirror)
-            return mirror
-
-    @property
-    def size(self) -> int:
-        return self.n
+            return self._keep_partner(self if self.u_is_zero else CharBlock(self.n, self.k, -self.u))
 
     def to_json(self) -> dict:
         return {"kind": "char", "n": self.n, "k": self.k, "u": self.u.to_json()}
@@ -266,7 +269,7 @@ class CharBlock(_Keyed):
 class CompSeriesBlock(_Keyed):
     """Complementary series block on size 2m: twists (k, u), inner +-t, 0<t<1."""
 
-    __slots__ = ("m", "k", "u", "t", "key", "u_is_zero", "_mirror")
+    __slots__ = ("m", "k", "u", "t", "u_is_zero", "size", "needs_even")
     _fields = ("m", "k", "u", "t")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
@@ -290,29 +293,16 @@ class CompSeriesBlock(_Keyed):
             *_rational_key(t.numerator, t.denominator),
         )
         self = cls._table.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "t", t)
-            object.__setattr__(self, "key", key)
-            object.__setattr__(self, "u_is_zero", u.is_zero())
-            cls._table[key] = self
-        return self
+        if self is not None:
+            return self
+        return cls._enter(key, m, k, u, t, u.is_zero(), 2 * m, False)
 
     def mirror(self) -> "CompSeriesBlock":
         """The u -> -u block, built on first use and kept."""
         try:
-            return self._mirror
+            return self._partner
         except AttributeError:
-            mirror = self if self.u_is_zero else CompSeriesBlock(self.m, self.k, -self.u, self.t)
-            object.__setattr__(self, "_mirror", mirror)
-            return mirror
-
-    @property
-    def size(self) -> int:
-        return 2 * self.m
+            return self._keep_partner(self if self.u_is_zero else CompSeriesBlock(self.m, self.k, -self.u, self.t))
 
     def to_json(self) -> dict:
         return {

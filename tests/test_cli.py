@@ -147,6 +147,12 @@ class TestEps:
         assert report["results"]["exactly_one"] is True
         assert report["results"]["factor"]["abs_b_sq"] == "4"
 
+    def test_negative_twist_after_equals_sign(self, capsys):
+        # argparse takes "-1/2,5/3" after a space for a flag; after "=" it is the value.
+        code, report = run_json(capsys, "eps", "--input", fixture_path("pair_g2.json"), "--b=-1/2,5/3")
+        assert code == 0
+        assert report["inputs"]["b"] == "-1/2,5/3"
+
     def test_bad_twist_is_parse_error(self, capsys):
         code = main(["eps", "--input", fixture_path("pair_g2.json"), "--b", "nonsense"])
         capsys.readouterr()
@@ -421,6 +427,11 @@ BAD_INPUTS = [
     (["cosets", "--n", "4", "--comp", "2,x"], 1),
     (["cosets", "--n", "4", "--comp", "2.0,2"], 1),
     (["cosets", "--n", "11", "--comp", "1,1,1,1,1,1,1,1,1,1,1"], 2),
+    # --n and --radius are JSON integers, as the --comp parts are.
+    (["cosets", "--n", "1_0"], 1),
+    (["cosets", "--n", "\uff13"], 1),
+    (["cosets", "--n", "7.0"], 1),
+    (["ktype", "--inline", langlands(m="2"), "--radius", "1_0"], 1),
     (["eps", "--inline", langlands(m="2"), "--b=0,0"], 2),
     (["eps", "--inline", langlands(m="2"), "--b=0,1/0"], 1),
     (["classify", "--output", "/nonexistent/dir/r.json", "--inline", langlands()], 1),

@@ -145,31 +145,80 @@ KEYED_FORBIDDEN = ("__init__", "__eq__", "__hash__")
 
 def keyed_overrides(source: str) -> tuple:
     """(subclasses of ``_Keyed``, the ``__init__``, ``__eq__`` or
-    ``__hash__`` each defines or assigns).  A hash-consed class builds its
-    object in ``__new__``, as an ``__init__`` would run again on every hit,
-    and compares and hashes by identity only."""
+    ``__hash__`` each defines or assigns, and each line of one that reads
+    ``object.__setattr__``).  A hash-consed class builds its object in
+    ``__new__``, as an ``__init__`` would run again on every hit, compares
+    and hashes by identity only, and leaves setting its slots to
+    ``_Keyed``'s helpers."""
     keyed = ["_Keyed"]
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in keyed for b in node.bases):
             keyed.append(node.name)
             found += [f"{node.name}.{n}" for item in node.body for n in assigned_names(item) if n in KEYED_FORBIDDEN]
+            found += [
+                f"{node.name}: object.__setattr__ (line {n.lineno})"
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                and n.attr == "__setattr__"
+                and isinstance(n.value, ast.Name)
+                and n.value.id == "object"
+            ]
     return keyed[1:], found
 
 
 def test_detects_a_keyed_override():
     source = (
         "class _Keyed(Frozen):\n    __hash__ = object.__hash__\n"
+        "    def _enter(self):\n        object.__setattr__(self, 'key', 1)\n"
         "class A(_Keyed):\n    def __new__(cls): pass\n"
         "class B(A):\n    def __init__(self): pass\n    __eq__ = None\n"
-        "class C(Frozen):\n    def __hash__(self): pass\n"
+        "    def f(self):\n        setattr_ = object.__setattr__\n"
+        "class C(Frozen):\n    def __hash__(self): pass\n    def __init__(self):\n        object.__setattr__(self, 'x', 1)\n"
     )
-    assert keyed_overrides(source) == (["A", "B"], ["B.__init__", "B.__eq__"])
+    assert keyed_overrides(source) == (["A", "B"], ["B.__init__", "B.__eq__", "B: object.__setattr__ (line 11)"])
 
 
 def test_keyed_classes_keep_identity():
     source = (Path(glcdist.__file__).parent / "params.py").read_text(encoding="utf-8")
     assert keyed_overrides(source) == (["CharacterCx", "CharBlock", "CompSeriesBlock"], [])
+
+
+BLOCK_KINDS = ("CharBlock", "CompSeriesBlock")
+
+
+def block_kind_tests(source: str) -> list:
+    """Lines that call ``isinstance`` with ``CharBlock`` or
+    ``CompSeriesBlock`` (a bare name or an attribute) in its class
+    argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for arg in node.args[1:]
+                for n in ast.walk(arg)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if named & set(BLOCK_KINDS):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detects_a_block_kind_test():
+    source = (
+        "from .params import CharBlock\nfrom . import params\n"
+        "isinstance(b, CharBlock)\nisinstance(b, (int, params.CompSeriesBlock))\n"
+        "isinstance(b, CharacterCx)\nCharBlock(1, 0, u)\nb.needs_even\n"
+    )
+    assert block_kind_tests(source) == [3, 4]
+
+
+def test_only_params_tests_a_block_kind():
+    # A block carries its kind's facts (size, the u = 0 flag and the (ii)
+    # flag ``needs_even``), so the readers never ask which class it is.
+    found = {path.name: block_kind_tests(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert sorted(name for name, lines in found.items() if lines) == ["params.py"]
 
 
 EQUALITY = ("__eq__", "__hash__")

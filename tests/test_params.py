@@ -134,6 +134,8 @@ def check_block_cache(b) -> None:
     assert hash(b.u) == hash(fresh(b.u)) == hash((b.u.re, b.u.im))
     assert all(isinstance(e, int) or abs(e) == math.inf for e in b.key)
     assert b.u_is_zero == (b.u == GaussianRational(0))
+    assert b.size == (b.n if isinstance(b, CharBlock) else 2 * b.m)
+    assert b.needs_even == (isinstance(b, CharBlock) and b.u_is_zero and b.k % 2 == 1)
     assert b.mirror() == mirror and hash(b.mirror()) == hash(mirror)
     assert b.mirror() is b.mirror()
     assert b.mirror().mirror() == b
@@ -163,6 +165,8 @@ class TestCachedValues:
         blocks = [CharBlock(1, -1, GaussianRational(0, x)) for x in TIES]
         blocks += [CompSeriesBlock(1, -1, GaussianRational(0, x), t) for x in TIES[:4] for t in INNER_T]
         check_same_order(blocks)
+        for b in blocks:
+            check_block_cache(b)
 
     def test_types_never_equal(self):
         assert CharBlock(1, 0, GaussianRational(0)) != CharacterCx(0, GaussianRational(0))
