@@ -11,11 +11,14 @@ Subcommands:
     verify-kernel  quadrature vs closed-form report for the kernel pairings
     selftest       run the acceptance suite
 
-Exit codes: 0 success, 1 parse error (selftest also exits 1 when a
-criterion fails or overruns its budget), 2 precondition violation, 3 numeric
-failure (verify-kernel also exits 3, after its report, when a row's relative
-error exceeds KERNEL_MAX_REL_ERR).  All machine output is JSON; the default
-rendering is plain text.
+``_emit`` assembles, writes (--output) and prints (JSON with --json, else
+text) every report.  A failed request ends in ``main`` with one "label:
+message" line on stderr and its error type's exit code: 1 parse error or an
+unwritable output (--output, or a closed stdout: later writes go to
+os.devnull), 2 precondition violation, 3 numeric failure (verify-kernel
+too, after its report, when a row misses KERNEL_MAX_REL_ERR or
+KERNEL_MAX_RATIO_ERR).  selftest exits 1 when a criterion fails or overruns
+its budget.
 
 Each subcommand loads only what it runs: ``selftest`` and ``kernelnum`` (and
 with selftest ``equivalence_scan``) are imported inside cmd_selftest and
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -55,7 +59,6 @@ from .errors import InputError, PreconditionError, QuadratureError
 from .exactnum import GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
 from .ktypes import (
-    NotDistinguishedError,
     distinguished_minimal_ktype,
     is_o_distinguished,
     lowest_ktype,
@@ -64,9 +67,6 @@ from .ktypes import (
 from .params import UnitaryRep, parse_parameter_file, to_langlands
 
 EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_PRECONDITION = 2
-EXIT_NUMERIC = 3
 
 _INF = float("inf")
 
@@ -103,15 +103,6 @@ def _read_parameter(args):
     """(the parameter file as given, its parameter) for classify, ktype, eps."""
     data = _parse_input(args, parse_parameter_file, "parameter file")
     return data, (to_langlands(data) if isinstance(data, UnitaryRep) else data)
-
-
-def _report(subcommand: str, inputs: dict, results: dict, criteria: list) -> dict:
-    return {
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "results": results,
-        "criteria": criteria,
-    }
 
 
 def _write_json(value, out: list, newline: str) -> None:
@@ -176,11 +167,14 @@ def _encode(report: dict) -> str:
     return "".join(out)
 
 
-def _emit(report: dict, args, text_lines) -> None:
-    """Print the report as JSON (--json) or as text, and write it to --output.
+def _emit(args, subcommand: str, inputs: dict, results: dict, criteria: list, text_lines: list) -> int:
+    """Assemble the report, write it to --output, print it as JSON (--json)
+    or as text, and return EXIT_OK.
 
-    The report is encoded only when --json or --output asks for it.
+    The report is encoded only when --json or --output asks for it.  The
+    print is flushed, so that a closed stdout fails here and not at exit.
     """
+    report = {"subcommand": subcommand, "inputs": inputs, "results": results, "criteria": criteria}
     output = args.output
     payload = _encode(report) if output is not None or args.json else None
     if output is not None:
@@ -189,11 +183,8 @@ def _emit(report: dict, args, text_lines) -> None:
                 handle.write(payload + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
-    if args.json:
-        print(payload)
-    else:
-        for line in text_lines:
-            print(line)
+    print(payload if args.json else "\n".join(text_lines), flush=True)
+    return EXIT_OK
 
 
 def _parse_twist(spec: str) -> GaussianRational:
@@ -236,9 +227,7 @@ def cmd_classify(args) -> int:
             f"pairing condition (i): {verdict.condition_i}",
         ]
         if verdict.witness:
-            lines.append(
-                f"witness pairs {list(verdict.witness.pairs)}, fixed {list(verdict.witness.fixed)}"
-            )
+            lines.append(f"witness pairs {list(verdict.witness.pairs)}, fixed {list(verdict.witness.fixed)}")
     else:
         verdict = is_distinguished_unitary(param)
         results = {"verdict": verdict.to_json()}
@@ -255,12 +244,9 @@ def cmd_classify(args) -> int:
             results["formulations_agree"] = agreement
             results["exceptional_factor"] = has_exceptional_factor(data)
             criteria += ["block-formulation-equivalence", "exceptional-family-flag"]
-            lines.append(
-                f"block formulation: {block_verdict.distinguished} (agreement: {agreement})"
-            )
+            lines.append(f"block formulation: {block_verdict.distinguished} (agreement: {agreement})")
             lines.append(f"exceptional factor present: {results['exceptional_factor']}")
-    _emit(_report("classify", inputs, results, criteria), args, lines)
-    return EXIT_OK
+    return _emit(args, "classify", inputs, results, criteria, lines)
 
 
 def cmd_ktype(args) -> int:
@@ -275,10 +261,7 @@ def cmd_ktype(args) -> int:
         "minimal_is_even": is_o_distinguished(minimal),
     }
     criteria = ["evenness-criterion", "minimal-even-ktype-construction"]
-    lines = [
-        f"lowest K-type: {low}",
-        f"distinguished minimal K-type: {minimal}",
-    ]
+    lines = [f"lowest K-type: {low}", f"distinguished minimal K-type: {minimal}"]
     if radius is not None:
         inputs["radius"] = radius
         oracle = minimal_distinguished_ktype_oracle(param, radius)
@@ -286,8 +269,7 @@ def cmd_ktype(args) -> int:
         results["oracle_agrees"] = oracle == {minimal}
         criteria.append("torus-weight-oracle")
         lines.append(f"oracle minimizers (radius {radius}): {sorted(oracle)}")
-    _emit(_report("ktype", inputs, results, criteria), args, lines)
-    return EXIT_OK
+    return _emit(args, "ktype", inputs, results, criteria, lines)
 
 
 def cmd_derive(args) -> int:
@@ -298,31 +280,18 @@ def cmd_derive(args) -> int:
     walk = list(derivative_stages(mono))
     passes, failing = necessity_verdict(walk)
     stages = [
-        {
-            "blocks": [b.to_json() for b in stage.blocks],
-            "total_size": stage.total_size,
-            "condition_i": ok,
-        }
+        {"blocks": [b.to_json() for b in stage.blocks], "total_size": stage.total_size, "condition_i": ok}
         for stage, ok in walk
     ]
-    results = {
-        "depth": mono.depth,
-        "stages": stages,
-        "passes": passes,
-        "failing_stage": failing,
-    }
+    results = {"depth": mono.depth, "stages": stages, "passes": passes, "failing_stage": failing}
     lines = [f"depth {mono.depth}, {len(stages)} stages"]
     for i, st in enumerate(stages):
         lines.append(f"stage {i}: size {st['total_size']}, pairing condition {st['condition_i']}")
     lines.append(
         "necessity test passes" if passes else f"necessity test fails at stage {failing} (certifies non-distinction)"
     )
-    _emit(
-        _report("derive", inputs, results, ["highest-derivative-recursion", "derivative-necessity-test"]),
-        args,
-        lines,
-    )
-    return EXIT_OK
+    criteria = ["highest-derivative-recursion", "derivative-necessity-test"]
+    return _emit(args, "derive", inputs, results, criteria, lines)
 
 
 def cmd_eps(args) -> int:
@@ -341,12 +310,8 @@ def cmd_eps(args) -> int:
         + (f"exact {exact}" if exact is not None else f"numeric {factor.numeric():.12g}"),
         f"exactly 1: {factor.is_one()}",
     ]
-    _emit(
-        _report("eps", inputs, results, ["central-value-product-formula", "distinguished-triviality"]),
-        args,
-        lines,
-    )
-    return EXIT_OK
+    criteria = ["central-value-product-formula", "distinguished-triviality"]
+    return _emit(args, "eps", inputs, results, criteria, lines)
 
 
 def cmd_cosets(args) -> int:
@@ -379,16 +344,18 @@ def cmd_cosets(args) -> int:
         for cls, d in zip(classes, dims):
             tag = " (open)" if d == full else ""
             lines.append(f"  class of {cls[0].perm}: {len(cls)} involutions, orbit dimension {d}{tag}")
-    _emit(_report("cosets", inputs, results, criteria), args, lines)
-    return EXIT_OK
+    return _emit(args, "cosets", inputs, results, criteria, lines)
 
 
 def _parse_samples(spec: str):
+    """--samples as comma-separated complex() literals, ASCII and without "_"."""
     out = []
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
             continue
+        if not piece.isascii() or "_" in piece:
+            raise InputError(f"bad sample {piece!r}: only ASCII, without '_', is read")
         try:
             out.append(complex(piece))
         except ValueError as exc:
@@ -399,43 +366,30 @@ def _parse_samples(spec: str):
 
 
 def cmd_verify_kernel(args) -> int:
-    from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
+    from .kernelnum import KERNEL_CASES, kernel_row
 
     samples = _parse_samples(args.samples)
     rows = [kernel_row(s, case) for s in samples for case in KERNEL_CASES]
+    inputs = {"samples": [str(s) for s in samples]}
+    results = {"table": [row.to_json() for row in rows]}
+    criteria = ["beta-substitution-reference", "normalization-ratio"]
     lines = [
         f"{row.case} s={row.s}: rel err {row.rel_err:.2e}, normalization ratio "
         f"{row.normalization_ratio:.9g} (expected {row.expected_ratio:.9g})"
         for row in rows
     ]
-    _emit(
-        _report(
-            "verify-kernel",
-            {"samples": [str(s) for s in samples]},
-            {"table": [row.to_json() for row in rows]},
-            ["beta-substitution-reference", "normalization-ratio"],
-        ),
-        args,
-        lines,
-    )
-    failing = [row for row in rows if not row.rel_err <= KERNEL_MAX_REL_ERR]  # NaN fails too
-    if failing:
-        worst = max(failing, key=lambda row: row.rel_err)
-        print(
-            f"numeric failure: {worst.case} s={worst.s}: rel err {worst.rel_err:.2e} "
-            f"exceeds {KERNEL_MAX_REL_ERR:g}",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
+    _emit(args, "verify-kernel", inputs, results, criteria, lines)
+    worst = max((row for row in rows if row.failure), key=lambda row: row.rel_err, default=None)
+    if worst is not None:
+        raise QuadratureError(f"{worst.case} s={worst.s}: {worst.failure}")
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all()
-    ok = all(r.passed and r.within_budget for r in results)
-    print("selftest:", "all criteria passed" if ok else "FAILURES above")
+    ok = all(r.ok for r in run_all())
+    print("selftest:", "all criteria passed" if ok else "FAILURES above", flush=True)
     return EXIT_OK if ok else 1
 
 
@@ -518,18 +472,13 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotDistinguishedError as exc:
-        print(f"precondition violated (even-multiplicity hypothesis): {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except QuadratureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (InputError, PreconditionError, QuadratureError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader has gone: the rest, flushed at exit, goes to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = InputError(f"cannot write stdout: {exc}")
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

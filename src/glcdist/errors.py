@@ -1,19 +1,34 @@
-"""Shared exception types, mapped to CLI exit codes (1, 2 and 3)."""
+"""Shared exception types.  Each carries the CLI exit code for it and the
+label that starts its one stderr line (cli.main); a subclass may override
+the label."""
 
 from __future__ import annotations
 
 
 class InputError(ValueError):
-    """Input from outside the program is malformed or not exact."""
+    """Input from outside the program is malformed or not exact, or an
+    output (--output, a closed stdout) cannot be written."""
+
+    exit_code = 1
+    label = "parse error"
 
 
 class PreconditionError(ValueError):
-    """A stated hypothesis of the requested operation is violated."""
+    """A stated hypothesis or cap of the requested operation is violated."""
+
+    exit_code = 2
+    label = "precondition violated"
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration did not converge; carries the achieved estimate."""
+    """A quadrature did not converge, or a result missed its stated bound;
+    carries the achieved error estimate when there is one."""
 
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
+    exit_code = 3
+    label = "numeric failure"
+
+    def __init__(self, message: str, estimate: float | None = None):
+        if estimate is not None:
+            message = f"{message} (achieved error estimate {estimate:.3e})"
+        super().__init__(message)
         self.estimate = estimate

@@ -22,21 +22,34 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 
 RationalLike = Union[int, Fraction, str]
 
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# Cap on the decimal digits of an integer, numerator or denominator read from
+# outside: what is derived from one (a twist + 1, t/2, a sum of block sizes)
+# then stays within CPython's 4,300-digit limit on int-to-str conversion.
+MAX_INPUT_DIGITS = 4000
+_INPUT_BOUND = 10**MAX_INPUT_DIGITS
+
+
+def _capped(value: int, what: str) -> int:
+    if -_INPUT_BOUND < value < _INPUT_BOUND:
+        return value
+    raise PreconditionError(f"{what} has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} decimal digits")
 
 
 def read_int(value, what: str = "value") -> int:
     """The one reader of integers from outside the program.
 
     Only an int that is not a bool (a JSON integer) is accepted; floats,
-    booleans, strings and anything else raise InputError.
+    booleans, strings and anything else raise InputError, and more than
+    MAX_INPUT_DIGITS digits PreconditionError.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return _capped(value, what)
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
@@ -45,17 +58,20 @@ def read_rational(value, what: str = "value") -> Fraction:
 
     Accepts an int that is not a bool, or the text "p" or "p/q" in decimal
     digits (a sign only on p, surrounding spaces allowed) with q != 0.
-    Floats, booleans, zero denominators and anything else raise InputError.
+    Floats, booleans, zero denominators and anything else raise InputError;
+    a p or q of more than MAX_INPUT_DIGITS digits raises PreconditionError.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return Fraction(_capped(value, what))
     if isinstance(value, str):
         match = _RATIONAL_TEXT.fullmatch(value.strip())
         if match:
             try:
-                return Fraction(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):
-                pass  # past int()'s digit limit, or q = 0
+                p, q = int(match[1]), int(match[2] or 1)
+            except ValueError:  # past int()'s digit limit
+                q = 0
+            if q:
+                return Fraction(_capped(p, what), _capped(q, what))
     raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
 
 

@@ -43,8 +43,8 @@ case 2.  The discrepancy is flagged, never silently corrected, and does not
 affect holomorphy or non-vanishing.  ``kernel_row`` computes one such report
 row in ``KERNEL_CONFIG``, with one angular moment shared by the check and the
 displayed form; the ``verify-kernel`` command and the self-test's kernel
-criterion both use it, and both fail a row whose relative error exceeds
-KERNEL_MAX_REL_ERR.
+criterion both use it, and both fail a row for its ``failure``: a miss of
+KERNEL_MAX_REL_ERR or of KERNEL_MAX_RATIO_ERR.
 
 Determinism: intervals are split worst-error-first with ties broken by the
 left endpoint, and the final reduction sums contributions in left-endpoint
@@ -57,7 +57,7 @@ import cmath
 import heapq
 import math
 from operator import itemgetter
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import PreconditionError, QuadratureError
 from .exactnum import Frozen
@@ -431,13 +431,25 @@ class KernelRow(NamedTuple):
             "expected_normalization_ratio": _pair(self.expected_ratio),
         }
 
+    @property
+    def failure(self) -> Optional[str]:
+        """Why the row misses its bounds, or None; a NaN misses them."""
+        if not self.rel_err <= KERNEL_MAX_REL_ERR:
+            return f"rel err {self.rel_err:.2e} exceeds {KERNEL_MAX_REL_ERR:g}"
+        off = abs(self.normalization_ratio - self.expected_ratio)
+        if not off <= KERNEL_MAX_RATIO_ERR:
+            return f"normalization ratio error {off:.2e} exceeds {KERNEL_MAX_RATIO_ERR:g}"
+        return None
+
 
 # The kernel cases by name, each with its j.
 KERNEL_CASES = {"case1": 1, "case2": 2}
 
 # The largest relative error between a kernel check's numeric side and its
-# reference that the kernel criterion and verify-kernel accept.
+# reference, and the largest distance between a normalization ratio and its
+# expected value, that the kernel criterion and verify-kernel accept.
 KERNEL_MAX_REL_ERR = 1e-6
+KERNEL_MAX_RATIO_ERR = 1e-6
 
 
 def kernel_row(s: complex, case: str) -> KernelRow:

@@ -27,6 +27,8 @@ from .params import LanglandsParameter
 class NotDistinguishedError(PreconditionError):
     """Raised when the even-multiplicity hypothesis on odd entries fails."""
 
+    label = "precondition violated (even-multiplicity hypothesis)"
+
 
 def _highest_weight(mu) -> Tuple[int, ...]:
     """``mu`` as a highest weight: a non-empty, weakly decreasing integer

@@ -62,9 +62,9 @@ from .exactnum import Frozen, GaussianRational, read_int, read_rational
 # Cap on the rank of a parameter read from outside the program (its
 # characters, or the total size of its blocks), checked before any block is
 # expanded.  `derive` walks up to n stages of rank up to n: one monomial block
-# of size 64, the largest allowed, took 0.05 s in-process (0.53 s with
-# 4000-digit slots; size 1000 took 18 s) on a shared 2-CPU container
-# (CPython 3.11.7).  Fixtures have rank <= 6, cli-batch requests <= 16.
+# of size 64, the largest allowed, took 0.05 s in-process (0.53 s with slots
+# of MAX_INPUT_DIGITS = 4000 digits; size 1000 took 18 s) on a shared 2-CPU
+# container (CPython 3.11.7).  Fixtures have rank <= 6, cli-batch requests <= 16.
 MAX_RANK = 64
 
 

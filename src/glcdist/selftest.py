@@ -39,7 +39,7 @@ from .equivalence_scan import (
 from .exactnum import GQ_ONE, GaussianRational
 from .factors import AdditiveCharacterSpec, eps_pair, eps_rep
 from .kernelnum import KERNEL_CONFIG  # noqa: F401  re-exported for perfbench/kernel_verify.py
-from .kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, beta_P, complex_gamma, kernel_row
+from .kernelnum import KERNEL_CASES, beta_P, complex_gamma, kernel_row
 from .ktypes import (
     distinguished_minimal_ktype,
     lowest_ktype,
@@ -67,8 +67,13 @@ class CriterionResult(NamedTuple):
     def within_budget(self) -> bool:
         return self.elapsed < self.budget
 
+    @property
+    def ok(self) -> bool:
+        """Passed, and within the budget."""
+        return self.passed and self.within_budget
+
     def line(self) -> str:
-        status = "PASS" if (self.passed and self.within_budget) else "FAIL"
+        status = "PASS" if self.ok else "FAIL"
         return (
             f"[{status}] criterion {self.index}: {self.name} "
             f"({self.elapsed:.2f}s / budget {self.budget:.0f}s) {self.detail}"
@@ -326,13 +331,9 @@ def criterion_8_kernel_oracle() -> Tuple[bool, str]:
     for s in KERNEL_SAMPLES:
         for case in KERNEL_CASES:
             row = kernel_row(s, case)
+            if row.failure:
+                return False, f"{case} s={s}: {row.failure}"
             worst = max(worst, row.rel_err)
-            if not row.rel_err <= KERNEL_MAX_REL_ERR:
-                return False, f"kernel_{case} at s={s}: rel err {row.rel_err:.2e}"
-            if abs(row.normalization_ratio - row.expected_ratio) > 1e-6:
-                return False, (
-                    f"{case} ratio at s={s}: {row.normalization_ratio} vs {row.expected_ratio}"
-                )
     return True, f"{len(KERNEL_SAMPLES)} samples, both cases, worst relative error {worst:.1e}"
 
 

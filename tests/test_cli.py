@@ -17,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from glcdist import cli, kernelnum, selftest
 from glcdist.cli import main
 from glcdist.derivatives import MonomialRep, derivative_necessity_test, derivative_stages
+from glcdist.errors import InputError, PreconditionError, QuadratureError
 from glcdist.kernelnum import KERNEL_CASES, KERNEL_MAX_REL_ERR, kernel_row
+from glcdist.ktypes import NotDistinguishedError
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -224,6 +226,18 @@ class TestVerifyKernel:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and worst["case"] in err[0] and "(0.2+30j)" in err[0]
 
+    def test_ratio_past_bound_exits_numeric(self, capsys, monkeypatch):
+        # A row fails on its normalization ratio as well as on its relative
+        # error: with the ratio bound at 0, every row misses it.
+        monkeypatch.setattr(kernelnum, "KERNEL_MAX_RATIO_ERR", 0.0)
+        code = main(["verify-kernel", "--samples=0.2", "--json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert all(row["rel_err"] <= KERNEL_MAX_REL_ERR for row in json.loads(captured.out)["results"]["table"])
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert "s=(0.2+0j): normalization ratio error" in err[0] and err[0].endswith("exceeds 0")
+
     def test_rel_err_within_bound_exits_ok(self, capsys):
         code = main(["verify-kernel", "--samples=0.2+2j", "--json"])
         captured = capsys.readouterr()
@@ -267,6 +281,47 @@ class TestSelftest:
         assert main(["selftest"]) == code
         verdict = "all criteria passed" if code == 0 else "FAILURES above"
         assert capsys.readouterr().out == f"selftest: {verdict}\n"
+
+
+class TestFailurePath:
+    def test_error_types_carry_exit_codes_and_labels(self):
+        assert [(e.exit_code, e.label) for e in (InputError, PreconditionError, QuadratureError)] == [
+            (1, "parse error"),
+            (2, "precondition violated"),
+            (3, "numeric failure"),
+        ]
+        assert NotDistinguishedError.exit_code == 2
+        assert NotDistinguishedError.label == "precondition violated (even-multiplicity hypothesis)"
+
+    def test_estimate_is_optional(self):
+        assert str(QuadratureError("off", 1.5e-3)) == "off (achieved error estimate 1.500e-03)"
+        assert str(QuadratureError("off")) == "off" and QuadratureError("off").estimate is None
+
+    # cosets --n 8 --json writes more than a pipe buffer holds; text-mode
+    # cosets --n 3 writes one short line, which a buffered stdout would
+    # otherwise only fail to write at exit.
+    @pytest.mark.parametrize("argv", [["cosets", "--n", "8", "--json"], ["cosets", "--n", "3"]])
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child writes
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "glcdist", *argv], stdout=write, stderr=subprocess.PIPE, text=True, env=env
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("parse error: cannot write stdout")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_exact_input_at_the_digit_cap(self, capsys):
+        # 4,000 digits are read; halving t gives a 4,001-digit denominator.
+        block = '{"kind":"comp","m":1,"k":0,"u":{"re":"0","im":"%s"},"t":"1/%s"}' % ("9" * 4000, "7" * 4000)
+        code, report = run_json(capsys, "classify", "--inline", '{"type":"unitary","blocks":[%s]}' % block)
+        assert code == 0
+        assert report["inputs"]["blocks"]["blocks"][0]["t"] == "1/" + "7" * 4000
 
 
 class TestParsing:
@@ -411,6 +466,8 @@ def char_block(n):
     return '{"type":"unitary","blocks":[{"kind":"char","n":%s,"k":1,"u":"0"}]}' % n
 
 
+NINES = "9" * 4300  # 10^4300 - 1, the largest integer json.loads reads
+
 BAD_INPUTS = [
     (["classify", "--inline", langlands(m="1.5")], 1),
     (["classify", "--inline", langlands(m="true")], 1),
@@ -451,6 +508,14 @@ BAD_INPUTS = [
     (["verify-kernel", "--samples=0.2+1e308j"], 2),
     (["verify-kernel", "--samples=0.2+nanj"], 2),
     (["verify-kernel", "--samples=0.5+infj"], 2),
+    # complex() also reads "_" and non-ASCII digits; --samples does not.
+    (["verify-kernel", "--samples=0.2_0"], 1),
+    (["verify-kernel", "--samples=\uff10.\uff12"], 1),
+    # Exact input is capped at MAX_INPUT_DIGITS = 4000 digits: past it, a
+    # derived value (m + 1, t/2, a sum of sizes) would not convert to text.
+    (["ktype", "--inline", '{"type":"langlands","characters":[%s,%s]}' % ((f'{{"m":{NINES},"s":"0"}}',) * 2)], 2),
+    (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"comp","m":1,"k":0,"u":"0","t":"1/%s"}]}' % NINES], 2),
+    (["derive", "--inline", '{"type":"monomial","blocks":[%s,%s]}' % ((f'{{"k":1,"s":"0","size":{NINES}}}',) * 2)], 2),
 ]
 
 

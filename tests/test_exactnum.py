@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from glcdist.cosets import Composition, Involution
 from glcdist.derivatives import MonomialBlock, MonomialRep
 from glcdist.distinction import InvolutionWitness
-from glcdist.errors import InputError
+from glcdist.errors import InputError, PreconditionError
 from glcdist.factors import AdditiveCharacterSpec, ExactEps
 from glcdist.kernelnum import QuadratureConfig
 from glcdist.params import CharacterCx, CharBlock, CompSeriesBlock, LanglandsParameter, UnitaryRep
@@ -160,6 +160,20 @@ class TestReaders:
             read_rational(value)
         with pytest.raises(InputError):
             GaussianRational.parse({"re": value, "im": "0"})
+
+    def test_digit_cap(self):
+        # 4,000 digits are read, counted on the value (leading zeros are
+        # free); past int()'s own 4,300-digit limit the text is malformed.
+        top = 10**4000 - 1
+        assert read_int(-top) == -top and read_rational(top) == top
+        assert read_rational("1/" + "9" * 4000) == Fraction(1, top)
+        assert read_rational("0" * 4001 + "1") == 1
+        for value in (10**4000, -(10**4000)):
+            with pytest.raises(PreconditionError, match="MAX_INPUT_DIGITS = 4000"):
+                read_int(value)
+        for value in ("1" * 4001, "-1/" + "1" * 4001):
+            with pytest.raises(PreconditionError, match="MAX_INPUT_DIGITS = 4000"):
+                read_rational(value)
 
     def test_gaussian_parse_rejects_non_objects(self):
         for value in (None, 0.5, [0, 1], False):

@@ -315,6 +315,37 @@ def test_no_module_encodes_json_with_indent():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def print_callers(source: str) -> list:
+    """The module-level definitions that call the builtin ``print``, by
+    name ("<module>" for a call outside any), sorted."""
+    callers = set()
+    for node in ast.parse(source).body:
+        if any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print" for n in ast.walk(node)
+        ):
+            callers.add(getattr(node, "name", "<module>"))
+    return sorted(callers)
+
+
+def test_detects_a_print_caller():
+    source = (
+        "import sys\nprint('start')\n"
+        "def quiet():\n    return 1\n"
+        "def loud():\n    def inner():\n        print(1)\n    return inner\n"
+        "class C:\n    def m(self):\n        print(2, file=sys.stderr)\n"
+        "def other(log):\n    log.print(3)\n"
+    )
+    assert print_callers(source) == ["<module>", "C", "loud"]
+
+
+def test_only_emit_main_and_selftest_print():
+    # One output path and one failure path: _emit writes every report, main
+    # every failure's stderr line, and cmd_selftest the summary under the
+    # criteria's progress lines.
+    source = (Path(glcdist.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert print_callers(source) == ["_emit", "cmd_selftest", "main"]
+
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
