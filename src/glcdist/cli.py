@@ -12,11 +12,12 @@ Subcommands:
     selftest       run the acceptance suite
 
 ``_emit`` assembles, writes (--output) and prints (JSON with --json, else
-text) every report.  A failed request ends in ``main`` with one "label:
-message" line on stderr and its error type's exit code: 1 parse error or an
-unwritable output (--output, or a closed stdout: later writes go to
-os.devnull), 2 precondition violation, 3 numeric failure (verify-kernel
-too, after its report, when a row misses KERNEL_MAX_REL_ERR or
+text) every report.  A failed request, a flag error included, ends in
+``main`` with one "label: message" line on stderr and its error type's exit
+code: 1 parse error or an unwritable output (--output, or a closed stdout:
+later writes go to os.devnull), 2 precondition violation (any exact input
+past MAX_INPUT_DIGITS digits too), 3 numeric failure (verify-kernel too,
+after its report, when a row misses KERNEL_MAX_REL_ERR or
 KERNEL_MAX_RATIO_ERR).  selftest exits 1 when a criterion fails or overruns
 its budget.
 
@@ -24,11 +25,12 @@ Each subcommand loads only what it runs: ``selftest`` and ``kernelnum`` (and
 with selftest ``equivalence_scan``) are imported inside cmd_selftest and
 cmd_verify_kernel, which keeps them out of every other request's start-up.
 
-Input files: {"type": "langlands", "characters": [{"m": 1, "s": {"re":
-"1/2", "im": "0"}}, ...]} or {"type": "unitary", "blocks": [{"kind":
-"char", "n": 2, "k": 1, "u": {...}} | {"kind": "comp", "m": 1, "k": 0,
-"u": {...}, "t": "1/2"}, ...]}; the derive subcommand takes {"type":
-"monomial", "blocks": [{"k": 1, "s": {...}, "size": 2}, ...]}.
+Input, read from exactly one of --input FILE and --inline JSON:
+{"type": "langlands", "characters": [{"m": 1, "s": {"re": "1/2", "im":
+"0"}}, ...]} or {"type": "unitary", "blocks": [{"kind": "char", "n": 2,
+"k": 1, "u": {...}} | {"kind": "comp", "m": 1, "k": 0, "u": {...}, "t":
+"1/2"}, ...]}; the derive subcommand takes {"type": "monomial", "blocks":
+[{"k": 1, "s": {...}, "size": 2}, ...]}.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .distinction import (
     is_distinguished_unitary,
 )
 from .errors import InputError, PreconditionError, QuadratureError
-from .exactnum import GaussianRational, read_int, read_rational
+from .exactnum import MAX_INPUT_DIGITS, GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
 from .ktypes import (
     distinguished_minimal_ktype,
@@ -74,12 +76,17 @@ _INF = float("inf")
 def _decode(text: str, source: str):
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, deep nesting
+    except (json.JSONDecodeError, RecursionError) as exc:  # also deep nesting
         raise InputError(f"invalid JSON in {source}: {exc}") from exc
+    except ValueError as exc:  # an integer past int()'s own digit limit
+        message = f"an integer in {source} has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} digits"
+        raise PreconditionError(message) from exc
 
 
 def _parse_input(args, parse, what: str):
     """The --input file or --inline JSON, read by ``parse``."""
+    if args.inline is not None and args.input is not None:
+        raise InputError("give one of --input PATH or --inline JSON, not both")
     if args.inline is not None:
         text = args.inline
         source = "<inline>"
@@ -394,10 +401,10 @@ def cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors are parse errors (exit 1), not argparse's default 2."""
+    """A flag error is a parse error: one stderr line and exit 1, without
+    argparse's usage lines and exit 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise InputError(message)
 
 

@@ -6,9 +6,9 @@ positive denominator, arbitrary precision) and a Gaussian rational is a pair
 of Fractions.  The one non-trivial operation is ``integer_rank``, the rank
 over Q of integer rows by fraction-free (Bareiss) elimination;
 ``real_rank`` applies it to complex n-by-n matrices taken as real
-2n^2-dimensional integer vectors.  How a matrix becomes integer rows is
-decided by the caller (``cosets``).  Exact input from outside the program
-is read here too, by ``read_int`` and ``read_rational``.
+2n^2-dimensional integer vectors, whose rows the caller (``cosets``) builds.
+Exact input from outside the program is read here too, by ``read_int`` and
+``read_rational``, which refuse more than MAX_INPUT_DIGITS digits.
 
 Everything is immutable after construction and every function is pure.
 Every value type of the package, the containers of characters and blocks
@@ -26,7 +26,8 @@ from .errors import InputError, PreconditionError
 
 RationalLike = Union[int, Fraction, str]
 
-_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# Sign, then p and q without their leading zeros (but one zero left of 0).
+_RATIONAL_TEXT = re.compile(r"([+-]?)0*([0-9]+)(?:/0*([0-9]+))?")
 
 # Cap on the decimal digits of an integer, numerator or denominator read from
 # outside: what is derived from one (a twist + 1, t/2, a sum of block sizes)
@@ -35,10 +36,14 @@ MAX_INPUT_DIGITS = 4000
 _INPUT_BOUND = 10**MAX_INPUT_DIGITS
 
 
+def _too_long(what: str) -> PreconditionError:
+    return PreconditionError(f"{what} has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} decimal digits")
+
+
 def _capped(value: int, what: str) -> int:
     if -_INPUT_BOUND < value < _INPUT_BOUND:
         return value
-    raise PreconditionError(f"{what} has more than MAX_INPUT_DIGITS = {MAX_INPUT_DIGITS} decimal digits")
+    raise _too_long(what)
 
 
 def read_int(value, what: str = "value") -> int:
@@ -59,19 +64,19 @@ def read_rational(value, what: str = "value") -> Fraction:
     Accepts an int that is not a bool, or the text "p" or "p/q" in decimal
     digits (a sign only on p, surrounding spaces allowed) with q != 0.
     Floats, booleans, zero denominators and anything else raise InputError;
-    a p or q of more than MAX_INPUT_DIGITS digits raises PreconditionError.
+    a p or q of more than MAX_INPUT_DIGITS digits, leading zeros not
+    counted, raises PreconditionError before any digit is converted.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(_capped(value, what))
     if isinstance(value, str):
         match = _RATIONAL_TEXT.fullmatch(value.strip())
         if match:
-            try:
-                p, q = int(match[1]), int(match[2] or 1)
-            except ValueError:  # past int()'s digit limit
-                q = 0
-            if q:
-                return Fraction(_capped(p, what), _capped(q, what))
+            sign, p, q = match.groups(default="1")
+            if max(len(p), len(q)) > MAX_INPUT_DIGITS:
+                raise _too_long(what)
+            if q != "0":
+                return Fraction(int(sign + p), int(q))
     raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
 
 
@@ -129,8 +134,6 @@ class GaussianRational(Frozen):
         other = _coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
@@ -143,8 +146,6 @@ class GaussianRational(Frozen):
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def inv(self) -> "GaussianRational":
         """Multiplicative inverse; raises ZeroDivisionError at 0."""

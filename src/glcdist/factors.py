@@ -1,9 +1,9 @@
-"""Local epsilon factors of characters of C^x and of parameter multisets.
+"""Central-point epsilon factors of characters of C^x and of parameters.
 
 With the additive character psi_b (the standard character precomposed with
-multiplication by a nonzero b), the factor of kappa_{m,t} at s is
+multiplication by a nonzero b), the central-point factor of kappa_{m,t} is
 
-    i^{|m|} * b^m * |b|^(2t - m + s - 1/2),
+    i^{|m|} * b^m * |b|^(2t - m),
 
 the base case (b = 1) being i^{|m|}.  The value is kept factored as an
 algebraic unit in Q(i) times a modulus power: |b|^2 is rational, so the
@@ -12,16 +12,15 @@ integer (and trivially whenever |b| = 1); otherwise only the numeric
 rendering leaves the exact world.
 
 Factors of parameters multiply over the characters, and i^{|m|} and b^m
-multiply by adding exponents, so the factor of n characters depends only on
+multiply by adding exponents, so the factor of a parameter depends only on
 three sums:
 
-    i^(sum |m| mod 4) * b^(sum m) * |b|^(2 sum t - sum m + n (s - 1/2)).
+    i^(sum |m| mod 4) * b^(sum m) * |b|^(2 sum t - sum m).
 
 The pair factor of two parameters, the product over all n1 * n2 products of
 one character from each, has sum m = n2 sum m_a + n1 sum m_b, likewise for
 sum t, and sum |m_a + m_b| over the pairs; no product character is built.
-For a distinguished parameter and b purely imaginary, the factor at the
-central point is exactly 1.
+For a distinguished parameter and b purely imaginary, the factor is 1.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ from .params import CharacterCx, LanglandsParameter
 _HALF = GaussianRational(Fraction(1, 2))
 
 # Cap on the size of a factor in bits, bits(z) being the longest numerator or
-# denominator of z: sum |m| * bits(b) for the unit prod i^|m| b^m plus
-# max(1, |Re e|/2) * bits(|b|^2) for the modulus power (|b|^2)^(e/2), and
-# bits(e) for the exponent e.  Exact parts then print far inside Python's
+# denominator of z: |sum m| * bits(b) for the unit i^(sum |m| mod 4) b^(sum m)
+# plus max(1, |Re e|/2) * bits(|b|^2) for the modulus power (|b|^2)^(e/2),
+# and bits(e) for the exponent e.  Exact parts then print far inside Python's
 # 4300-digit limit, and every rendered float stays below 2^1020 (1.5 x the
-# cap).  The epsilon criterion needs at most 608 bits (a pair factor; a
-# single parameter 65), cli-batch's eps requests at most 350.
+# cap).  The epsilon criterion needs at most 448 bits (a pair factor),
+# cli-batch's eps requests at most 216 (200 rounds at seed 1).
 EPS_MAX_BITS = 680
 
 
@@ -124,16 +123,13 @@ def _bits(*qs: Fraction) -> int:
     return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in qs)
 
 
-def _factor(
-    n: int, abs_m: int, m: int, t_re, t_im, psi: AdditiveCharacterSpec, s0: GaussianRational
-) -> ExactEps:
-    """The factor at s0 of n characters with sum |m| = abs_m, sum m = m and
-    sum t = t_re + t_im i: unit i^abs_m b^m, modulus exponent
-    2 sum t - m + n (s0 - 1/2).  Raises PreconditionError, before any power
-    is computed, when it does not fit EPS_MAX_BITS."""
-    re = 2 * t_re - m + n * (s0.re - _HALF.re)
-    im = 2 * t_im + n * s0.im
-    unit_bits = abs_m * _bits(psi.b.re, psi.b.im)
+def _factor(abs_m: int, m: int, t_re, t_im, psi: AdditiveCharacterSpec) -> ExactEps:
+    """The factor of characters with sum |m| = abs_m, sum m = m and sum t =
+    t_re + t_im i: unit i^abs_m b^m, modulus exponent 2 sum t - m.  Raises
+    PreconditionError, before any power is computed, when it does not fit
+    EPS_MAX_BITS."""
+    re, im = 2 * t_re - m, 2 * t_im
+    unit_bits = abs(m) * _bits(psi.b.re, psi.b.im)
     power_bits = max(1, -(-abs(re) // 2)) * _bits(psi.abs_sq())
     exponent_bits = _bits(re, im)
     if max(unit_bits + power_bits, exponent_bits) > EPS_MAX_BITS:
@@ -145,35 +141,27 @@ def _factor(
     return ExactEps(unit, psi.abs_sq(), GaussianRational(re, im))
 
 
-def _product(chars, psi: AdditiveCharacterSpec, s0: GaussianRational) -> ExactEps:
-    """The product of the factors of ``chars`` at s0, within EPS_MAX_BITS."""
+def _product(chars, psi: AdditiveCharacterSpec) -> ExactEps:
+    """The product of the factors of ``chars``, within EPS_MAX_BITS."""
     return _factor(
-        len(chars),
         sum(abs(c.m) for c in chars),
         sum(c.m for c in chars),
         sum(c.s.re for c in chars),
         sum(c.s.im for c in chars),
         psi,
-        s0,
     )
 
 
-def eps_character(
-    c: CharacterCx, psi: AdditiveCharacterSpec, s0: GaussianRational
-) -> ExactEps:
-    """Factor of one character kappa_{m,t} at the point s0 against psi_b:
-    unit i^{|m|} b^m, modulus exponent 2t - m + s0 - 1/2, within EPS_MAX_BITS."""
-    return _product((c,), psi, s0)
+def eps_character(c: CharacterCx, psi: AdditiveCharacterSpec) -> ExactEps:
+    """Factor of one character kappa_{m,t} against psi_b: unit i^{|m|} b^m,
+    modulus exponent 2t - m, within EPS_MAX_BITS."""
+    return _product((c,), psi)
 
 
-def eps_rep(
-    p: LanglandsParameter,
-    psi: AdditiveCharacterSpec,
-    s0: GaussianRational = _HALF,
-) -> ExactEps:
+def eps_rep(p: LanglandsParameter, psi: AdditiveCharacterSpec) -> ExactEps:
     """Factor of a parameter: the product over its characters.  Precondition:
     it fits EPS_MAX_BITS, else PreconditionError before any power is computed."""
-    return _product(p.chars, psi, s0)
+    return _product(p.chars, psi)
 
 
 def eps_pair(
@@ -186,11 +174,9 @@ def eps_pair(
     chars1, chars2 = p1.chars, p2.chars
     n1, n2 = len(chars1), len(chars2)
     return _factor(
-        n1 * n2,
         sum(abs(a.m + b.m) for a in chars1 for b in chars2),
         n2 * sum(c.m for c in chars1) + n1 * sum(c.m for c in chars2),
         n2 * sum(c.s.re for c in chars1) + n1 * sum(c.s.re for c in chars2),
         n2 * sum(c.s.im for c in chars1) + n1 * sum(c.s.im for c in chars2),
         psi,
-        _HALF,
     )

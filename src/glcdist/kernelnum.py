@@ -218,12 +218,12 @@ def adaptive_quad(
     return sum(v for _, _, _, v in heap)
 
 
-def radial_improper_quad(f: Callable, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Integral of f over (0, inf), with (1, inf) folded onto (0, 1] by
-    r -> 1/r: the one finite integral of f(r) + f(1/r)/r^2 over [0, 1].
-    ``f`` is scalar, as in ``adaptive_quad``: it is called with one float
-    r > 0 at a time."""
-    return adaptive_quad(lambda r: f(r) + f(1.0 / r) / (r * r), 0.0, 1.0, cfg)
+def radial_improper_quad(f: Callable) -> complex:
+    """Integral of f over (0, inf) in DEFAULT_CONFIG, with (1, inf) folded
+    onto (0, 1] by r -> 1/r: the one finite integral of f(r) + f(1/r)/r^2
+    over [0, 1].  ``f`` is scalar, as in ``adaptive_quad``: it is called
+    with one float r > 0 at a time."""
+    return adaptive_quad(lambda r: f(r) + f(1.0 / r) / (r * r), 0.0, 1.0)
 
 
 # -- Beta-type integrals ------------------------------------------------------

@@ -206,12 +206,6 @@ class LanglandsParameter(Frozen):
     def n(self) -> int:
         return len(self.chars)
 
-    def __iter__(self):
-        return iter(self.chars)
-
-    def __len__(self):
-        return len(self.chars)
-
     def __repr__(self):
         return "LanglandsParameter({%s})" % ", ".join(str(c) for c in self.chars)
 
@@ -331,9 +325,6 @@ class UnitaryRep(Frozen):
     @property
     def n(self) -> int:
         return sum(b.size for b in self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
 
     def __repr__(self):
         return f"UnitaryRep({list(self.blocks)!r})"

@@ -155,6 +155,17 @@ class TestEps:
         assert code == 0
         assert report["inputs"]["b"] == "-1/2,5/3"
 
+    def test_unit_charged_by_its_own_exponent(self, capsys):
+        # Twists +-40 give sum |m| = 640 but sum m = 0: the unit i^640 b^0
+        # stays small, so the factor fits EPS_MAX_BITS and is exactly 1.
+        chars = ",".join(
+            '{"m":%d,"s":"%s%s"}' % (m, sign, t) for m in (40, -40) for sign in "+-" for t in ("1/2", "1/3", "1/4", "1/5")
+        )
+        code, report = run_json(capsys, "eps", "--inline", '{"type":"langlands","characters":[%s]}' % chars, "--b=0,2")
+        assert code == 0
+        assert len(report["inputs"]["parameter"]["characters"]) == 16
+        assert report["results"]["exactly_one"] is True
+
     def test_bad_twist_is_parse_error(self, capsys):
         code = main(["eps", "--input", fixture_path("pair_g2.json"), "--b", "nonsense"])
         capsys.readouterr()
@@ -467,6 +478,13 @@ def char_block(n):
 
 
 NINES = "9" * 4300  # 10^4300 - 1, the largest integer json.loads reads
+# Past json.loads' and int()'s own 4,300-digit limit, the cap is still what refuses.
+TOO_LONG = [
+    ["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"comp","m":1,"k":0,"u":"0","t":"1/%s"}]}' % ("9" * 5000)],
+    ["classify", "--inline", langlands(m="9" * 5000)],
+    ["cosets", "--n", "9" * 5000],
+    ["eps", "--inline", langlands(m="2"), "--b=0,1/" + "9" * 5000],
+]
 
 BAD_INPUTS = [
     (["classify", "--inline", langlands(m="1.5")], 1),
@@ -516,6 +534,13 @@ BAD_INPUTS = [
     (["ktype", "--inline", '{"type":"langlands","characters":[%s,%s]}' % ((f'{{"m":{NINES},"s":"0"}}',) * 2)], 2),
     (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"comp","m":1,"k":0,"u":"0","t":"1/%s"}]}' % NINES], 2),
     (["derive", "--inline", '{"type":"monomial","blocks":[%s,%s]}' % ((f'{{"k":1,"s":"0","size":{NINES}}}',) * 2)], 2),
+    *[(argv, 2) for argv in TOO_LONG],
+    # Flag errors end in their one line too, without argparse's usage lines.
+    (["classify", "--unitary"], 1),
+    ([], 1),
+    (["cosets"], 1),
+    # Exactly one of --input and --inline is read.
+    (["classify", "--input", "x", "--inline", langlands()], 1),
 ]
 
 
@@ -524,6 +549,12 @@ def test_bad_input_exit_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", TOO_LONG, ids=[" ".join(a)[:60] for a in TOO_LONG])
+def test_too_many_digits_names_the_cap(capsys, argv):
+    assert main(argv) == 2
+    assert "MAX_INPUT_DIGITS = 4000" in capsys.readouterr().err
 
 
 def main_quietly(argv):

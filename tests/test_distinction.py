@@ -160,7 +160,7 @@ class TestInvariants:
         rng = random.Random(98)
         for _ in range(100):
             p = random_distinguished_parameter(rng, 6)
-            flipped = LanglandsParameter(c.conj_inverse() for c in p)
+            flipped = LanglandsParameter(c.conj_inverse() for c in p.chars)
             assert (
                 is_distinguished_unitary(p).distinguished
                 == is_distinguished_unitary(flipped).distinguished

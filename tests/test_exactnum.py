@@ -153,7 +153,7 @@ class TestReaders:
 
     @pytest.mark.parametrize(
         "value",
-        ["1/0", "0/0", "1.5", "1e3", "1/-2", "+", "", "x", "1/2/3", "1" * 5000, 0.1, True, None, [1]],
+        ["1/0", "0/0", "1.5", "1e3", "1/-2", "+", "", "x", "1/2/3", "1/" + "0" * 5000, 0.1, True, None, [1]],
     )
     def test_rational_rejects(self, value):
         with pytest.raises(InputError):
@@ -163,15 +163,16 @@ class TestReaders:
 
     def test_digit_cap(self):
         # 4,000 digits are read, counted on the value (leading zeros are
-        # free); past int()'s own 4,300-digit limit the text is malformed.
+        # free), and text past int()'s own 4,300-digit limit is too long too.
         top = 10**4000 - 1
         assert read_int(-top) == -top and read_rational(top) == top
         assert read_rational("1/" + "9" * 4000) == Fraction(1, top)
         assert read_rational("0" * 4001 + "1") == 1
+        assert read_rational("0" * 5000 + "1/" + "0" * 5000 + "3") == Fraction(1, 3)
         for value in (10**4000, -(10**4000)):
             with pytest.raises(PreconditionError, match="MAX_INPUT_DIGITS = 4000"):
                 read_int(value)
-        for value in ("1" * 4001, "-1/" + "1" * 4001):
+        for value in ("1" * 4001, "-1/" + "1" * 4001, "1" * 5000):
             with pytest.raises(PreconditionError, match="MAX_INPUT_DIGITS = 4000"):
                 read_rational(value)
 

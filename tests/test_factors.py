@@ -38,14 +38,14 @@ def eps_half_trivial_psi(c, psi):
     return ExactEps(GaussianRational(sign), psi.abs_sq(), c.s + c.s)
 
 
-def product_oracle(chars, psi, s0):
-    """The factor multiplied out one character at a time: the product of the
-    units i^|m| b^m, and the sum of the exponents 2t - m + s0 - 1/2 of |b|,
-    over the characters."""
+def product_oracle(chars, psi):
+    """The central-point factor multiplied out one character at a time: the
+    product of the units i^|m| b^m, and the sum of the exponents 2t - m of
+    |b|, over the characters."""
     unit, exponent = GQ_ONE, gq(0)
     for c in chars:
         unit = unit * GQ_I ** (abs(c.m) % 4) * psi.b ** c.m
-        exponent = exponent + c.s + c.s + (s0 - c.m - HALF)
+        exponent = exponent + c.s + c.s - c.m
     return ExactEps(unit, psi.abs_sq(), exponent)
 
 
@@ -61,37 +61,29 @@ def random_parameter(rng, n):
 
 PSI_I = AdditiveCharacterSpec(gq(0, 1))
 PSI_2I = AdditiveCharacterSpec(gq(0, 2))
-HALF = gq("1/2")
 
 
 class TestCharacterFactor:
     def test_unramified_base_point(self):
-        eps = eps_character(kappa(0), PSI_I, HALF)
+        eps = eps_character(kappa(0), PSI_I)
         assert eps.exact_value() == GQ_ONE
 
     def test_sign_twist_is_minus_one(self):
-        eps = eps_character(kappa(1), PSI_I, HALF)
+        eps = eps_character(kappa(1), PSI_I)
         assert eps.exact_value() == gq(-1)
 
     def test_even_twists_are_one(self):
         for k in (-2, -1, 1, 2):
             for b in (gq(0, 1), gq(0, "1/3"), gq(0, -2)):
-                eps = eps_character(kappa(2 * k), AdditiveCharacterSpec(b), HALF)
+                eps = eps_character(kappa(2 * k), AdditiveCharacterSpec(b))
                 assert eps.exact_value() == GQ_ONE
 
     def test_base_character_value(self):
         # b = 1 reproduces the unramified normalization i^{|m|}.
         psi0 = AdditiveCharacterSpec(gq(1))
         for m, expected in [(0, gq(1)), (1, gq(0, 1)), (-3, gq(0, -1)), (2, gq(-1))]:
-            eps = eps_character(kappa(m, "1/3"), psi0, gq("1/4"))
+            eps = eps_character(kappa(m, "1/3"), psi0)
             assert eps.exact_value() == expected
-
-    def test_base_point_value_independent_of_s(self):
-        # At b = 1 the factor is i^{|m|} for every evaluation point s.
-        psi0 = AdditiveCharacterSpec(gq(1))
-        for s0 in (gq(0), gq("1/2"), gq(-3, "2/7")):
-            eps = eps_character(kappa(3, "1/5"), psi0, s0)
-            assert eps.exact_value() == gq(0, -1)
 
 
 class TestPiecewiseCentralValue:
@@ -116,7 +108,7 @@ class TestPiecewiseCentralValue:
             for t in (Fraction(0), Fraction(1, 2), Fraction(-1, 2)):
                 for psi in (PSI_I, PSI_2I):
                     a = eps_half_trivial_psi(CharacterCx(m, gq(t)), psi)
-                    b = eps_character(CharacterCx(m, gq(t)), psi, HALF)
+                    b = eps_character(CharacterCx(m, gq(t)), psi)
                     assert abs(a.numeric() - b.numeric()) < 1e-12
                     ea, eb = a.exact_value(), b.exact_value()
                     if ea is not None and eb is not None:
@@ -175,7 +167,6 @@ class TestPairFactor:
 
 
 TWISTS = [AdditiveCharacterSpec(b) for b in (gq(0, 1), gq(0, 2), gq(3, -2), gq(1, 1), gq("-1/2", "5/3"))]
-POINTS = [gq("1/2"), gq(1, 3)]
 
 
 class TestSumsEqualTheProduct:
@@ -187,8 +178,7 @@ class TestSumsEqualTheProduct:
             residues.add(sum(abs(c.m) for c in p.chars) % 4)
             negative = negative or sum(c.m for c in p.chars) < 0
             for psi in TWISTS:
-                for s0 in POINTS:
-                    assert eps_rep(p, psi, s0) == product_oracle(p.chars, psi, s0)
+                assert eps_rep(p, psi) == product_oracle(p.chars, psi)
         assert residues == {0, 1, 2, 3} and negative
 
     def test_pair_factor(self):
@@ -201,15 +191,14 @@ class TestSumsEqualTheProduct:
             residues.add(sum(abs(c.m) for c in pairs) % 4)
             negative = negative or sum(c.m for c in pairs) < 0
             for psi in TWISTS:
-                assert eps_pair(p1, p2, psi) == product_oracle(pairs, psi, HALF)
+                assert eps_pair(p1, p2, psi) == product_oracle(pairs, psi)
         assert residues == {0, 1, 2, 3} and negative
 
     def test_character_factor(self):
         for m in range(-5, 6):
             c = kappa(m, "2/3", "-1/2")
             for psi in TWISTS:
-                for s0 in POINTS:
-                    assert eps_character(c, psi, s0) == product_oracle([c], psi, s0)
+                assert eps_character(c, psi) == product_oracle([c], psi)
 
 
 class TestExactEps:
@@ -241,7 +230,7 @@ class TestExactEps:
         with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
             eps_rep(param(kappa(454)), psi_one)
         with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
-            eps_character(kappa(454), psi_one, HALF)
+            eps_character(kappa(454), psi_one)
         with pytest.raises(PreconditionError, match="EPS_MAX_BITS"):
             eps_pair(param(kappa(300)), param(kappa(300)), psi_one)
 

@@ -378,7 +378,7 @@ def test_separable_product_is_the_nested_integral(case):
         def radial(r):
             return angular * cmath.exp(-power * math.log1p(r * r) + (case - 1 - s) * math.log(r))
 
-        return radial_improper_quad(radial, KERNEL_CONFIG)
+        return radial_improper_quad(radial)
 
     nested = adaptive_quad(outer, 0.0, math.pi, KERNEL_CONFIG) + adaptive_quad(
         outer, math.pi, 2.0 * math.pi, KERNEL_CONFIG
