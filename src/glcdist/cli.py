@@ -57,7 +57,7 @@ from .distinction import (
     is_distinguished_generic,
     is_distinguished_unitary,
 )
-from .errors import InputError, PreconditionError, QuadratureError
+from .errors import InputError, PreconditionError, QuadratureError, shown
 from .exactnum import MAX_INPUT_DIGITS, GaussianRational, read_int, read_rational
 from .factors import AdditiveCharacterSpec, eps_rep
 from .ktypes import (
@@ -197,7 +197,7 @@ def _emit(args, subcommand: str, inputs: dict, results: dict, criteria: list, te
 def _parse_twist(spec: str) -> GaussianRational:
     parts = spec.split(",")
     if len(parts) != 2:
-        raise InputError(f'--b expects "re,im" with rational parts, e.g. "0,1" for i: got {spec!r}')
+        raise InputError(f'--b expects "re,im" with rational parts, e.g. "0,1" for i: got {shown(repr(spec))}')
     return GaussianRational(
         read_rational(parts[0], "the real part of --b"),
         read_rational(parts[1], "the imaginary part of --b"),
@@ -211,7 +211,8 @@ def _parse_integer(spec: str, flag: str) -> int:
 
 def _parse_composition(spec: str) -> tuple:
     """--comp read as the parts of a JSON array: "2,3" is [2, 3]."""
-    parts = _decode(f"[{spec}]", f"--comp (read as [{spec}])")
+    text = f"[{spec}]"
+    parts = _decode(text, f"--comp (read as {shown(text)})")
     return tuple(read_int(part, "a --comp part") for part in parts)
 
 
@@ -328,7 +329,7 @@ def cmd_cosets(args) -> int:
     verified = representatives_verified(n)
     results = {
         "count": len(involutions),
-        "involutions": [w.to_json() for w in involutions],
+        "involutions": involutions,
         "representatives_verified": verified,
     }
     criteria = ["involution-count-recurrence", "twisted-conjugation-check"]
@@ -337,12 +338,12 @@ def cmd_cosets(args) -> int:
         parts = _parse_composition(args.comp)
         comp = Composition(parts)
         if comp.n != n:
-            raise InputError(f"--comp {args.comp} does not sum to n = {n}")
+            raise InputError(f"--comp {shown(args.comp)} does not sum to n = {n}")
         classes = parabolic_classes(comp)
         dims = class_dimensions(classes)
         full = 2 * n * n
         results["composition"] = list(parts)
-        results["classes"] = [[w.to_json() for w in cls] for cls in classes]
+        results["classes"] = classes
         results["class_dimensions"] = dims
         results["open_classes"] = sum(1 for d in dims if d == full)
         inputs["comp"] = list(parts)
@@ -350,7 +351,7 @@ def cmd_cosets(args) -> int:
         lines.append(f"{len(classes)} double-coset classes for composition {parts}")
         for cls, d in zip(classes, dims):
             tag = " (open)" if d == full else ""
-            lines.append(f"  class of {cls[0].perm}: {len(cls)} involutions, orbit dimension {d}{tag}")
+            lines.append(f"  class of {cls[0]}: {len(cls)} involutions, orbit dimension {d}{tag}")
     return _emit(args, "cosets", inputs, results, criteria, lines)
 
 
@@ -362,11 +363,11 @@ def _parse_samples(spec: str):
         if not piece:
             continue
         if not piece.isascii() or "_" in piece:
-            raise InputError(f"bad sample {piece!r}: only ASCII, without '_', is read")
+            raise InputError(f"bad sample {shown(repr(piece))}: only ASCII, without '_', is read")
         try:
             out.append(complex(piece))
         except ValueError as exc:
-            raise InputError(f"bad sample {piece!r}: {exc}") from exc
+            raise InputError(f"bad sample {shown(repr(piece))}: {exc}") from exc
     if not out:
         raise InputError("--samples needs at least one complex number")
     return out

@@ -2,9 +2,10 @@
 
 The Borel double cosets on the symmetric space attached to the pair
 (complex group, real form) are indexed by the involutions of the symmetric
-group; an involution w built from disjoint transpositions (k, l) has the
-explicit Gaussian-integer representative g_w: the identity except for the
-2x2 pattern [[1, i], [i, 1]] spread over rows/columns k and l.
+group, here tuples in one-line notation (w[i-1] = w(i)).  An involution w
+built from disjoint transpositions (k, l) has the explicit Gaussian-integer
+representative g_w: the identity except for the 2x2 pattern [[1, i], [i, 1]]
+spread over rows/columns k and l.
 
 For a standard parabolic given by a composition of n, two involutions
 represent the same double coset iff they lie in a common Young-subgroup
@@ -39,64 +40,32 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .exactnum import Frozen, integer_rank, real_rank
 
 _MAX_ENUM_N = 10
 _MAX_VERIFY_N = 7
 
 
-class Involution(Frozen):
-    """A self-inverse permutation of {1..n}, stored in one-line notation."""
-
-    __slots__ = _fields = ("perm",)
-    perm: Tuple[int, ...]
-
-    def __init__(self, perm: Iterable[int]):
-        p = tuple(int(x) for x in perm)
-        n = len(p)
-        if sorted(p) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {p}")
-        if any(p[p[i] - 1] != i + 1 for i in range(n)):
-            raise ValueError(f"not an involution: {p}")
-        object.__setattr__(self, "perm", p)
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i - 1]
-
-    def transpositions(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (i + 1, self.perm[i]) for i in range(self.n) if self.perm[i] > i + 1
-        )
-
-    def to_json(self) -> list:
-        return list(self.perm)
-
-    def __repr__(self):
-        return f"Involution{self.perm}"
-
-
 @lru_cache(maxsize=None)
-def enumerate_involutions(n: int) -> Tuple[Involution, ...]:
-    """All involutions of {1..n}, in the order of their one-line notation.
+def enumerate_involutions(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """All involutions of {1..n}, as tuples in one-line notation, in that order.
 
     The smallest unassigned point is fixed first, then swapped with each
     larger unassigned point in ascending order, which is that order.  The
     count obeys T(n) = T(n-1) + (n-1) T(n-2).  Each n is built once (n is
     capped at _MAX_ENUM_N, so the cache holds at most that many tuples).
+    Only involutions are built, so none is checked again; the entry points
+    ``representative`` and ``in_torus_translate`` check a caller's.
     """
     if not 1 <= n <= _MAX_ENUM_N:
-        raise PreconditionError(f"n must lie in 1..{_MAX_ENUM_N}, got {n}")
+        raise PreconditionError(f"n must lie in 1..{_MAX_ENUM_N}, got {shown(repr(n))}")
     perm = list(range(1, n + 1))
     out = []
 
     def build(free: tuple) -> None:
         if not free:
-            out.append(Involution(tuple(perm)))
+            out.append(tuple(perm))
             return
         p, rest = free[0], free[1:]
         build(rest)
@@ -113,15 +82,24 @@ Pair = Tuple[int, int]
 Matrix = Tuple[Tuple[Pair, ...], ...]
 
 
-def representative(w: Involution) -> Matrix:
+def _involution(w: Tuple[int, ...]) -> int:
+    """n, for an involution w of 1..n in one-line notation; else ValueError."""
+    n = len(w)
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {w}")
+    if any(w[w[i] - 1] != i + 1 for i in range(n)):
+        raise ValueError(f"not an involution: {w}")
+    return n
+
+
+def representative(w: Tuple[int, ...]) -> Matrix:
     """The explicit representative g_w, as n rows of (re, im) pairs: the
     identity, with entries (k,k)=(l,l)=1 and (k,l)=(l,k)=sqrt(-1) for each
     transposition (k,l)."""
-    n = w.n
-    rows = [[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
-    for k, l in w.transpositions():
-        rows[k - 1][l - 1] = rows[l - 1][k - 1] = (0, 1)
-    return tuple(tuple(row) for row in rows)
+    n = _involution(w)
+    return tuple(
+        tuple((1, 0) if j == i else (0, 1) if j == w[i] - 1 else (0, 0) for j in range(n)) for i in range(n)
+    )
 
 
 def _times_i(z: Pair) -> Pair:
@@ -143,7 +121,7 @@ def _matrix(n: int, cells: Iterable[Tuple[Pair, Pair]]) -> List[int]:
     return vec
 
 
-def in_torus_translate(g: Matrix, w: Involution) -> bool:
+def in_torus_translate(g: Matrix, w: Tuple[int, ...]) -> bool:
     """Check exactly that g conj(g)^{-1} lies in w T, i.e. equals the
     permutation matrix of w times an invertible diagonal matrix, for an
     n-by-n Gaussian-integer matrix g given by rows.
@@ -154,7 +132,7 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
     R^2n: the 2n integer rows (Re col_k, Im col_k) and (-Im col_k, Re col_k)
     of the realification have rank 2n.
     """
-    n = w.n
+    n = _involution(w)
     rows = []
     for k in range(n):
         re = [g[a][k][0] for a in range(n)]
@@ -164,7 +142,7 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
     if integer_rank(rows) != 2 * n:
         return False
     for j in range(n):
-        u = g[w(j + 1) - 1]
+        u = g[w[j] - 1]
         v = [(re, -im) for re, im in g[j]]
         # u is a multiple of v != 0 iff every 2x2 minor of (u; v) vanishes.
         if any(
@@ -176,7 +154,7 @@ def in_torus_translate(g: Matrix, w: Involution) -> bool:
     return True
 
 
-def verify_representative(w: Involution) -> bool:
+def verify_representative(w: Tuple[int, ...]) -> bool:
     """Check exactly that g_w conj(g_w)^{-1} lies in w T."""
     return in_torus_translate(representative(w), w)
 
@@ -202,7 +180,7 @@ class Composition(Frozen):
     def __init__(self, parts: Iterable[int]):
         p = tuple(int(x) for x in parts)
         if not p or any(x < 1 for x in p):
-            raise PreconditionError(f"composition parts must be positive, got {p}")
+            raise PreconditionError(f"composition parts must be positive, got {shown(repr(p))}")
         object.__setattr__(self, "parts", p)
 
     @property
@@ -217,7 +195,7 @@ class Composition(Frozen):
         return out
 
 
-def parabolic_classes(comp: Composition) -> List[List[Involution]]:
+def parabolic_classes(comp: Composition) -> List[List[Tuple[int, ...]]]:
     """Partition the involutions into Young-subgroup double cosets.
 
     Two involutions are equivalent iff one is sigma w sigma' for sigma,
@@ -229,12 +207,12 @@ def parabolic_classes(comp: Composition) -> List[List[Involution]]:
     block = comp.block_of()
     classes: dict = {}
     for w in enumerate_involutions(comp.n):
-        key = tuple(sorted((block[i], block[j - 1]) for i, j in enumerate(w.perm)))
+        key = tuple(sorted((block[i], block[j - 1]) for i, j in enumerate(w)))
         classes.setdefault(key, []).append(w)
     return list(classes.values())
 
 
-def orbit_dimension(w: Involution, comp: Composition) -> int:
+def orbit_dimension(w: Tuple[int, ...], comp: Composition) -> int:
     """Real dimension of the parabolic-times-real-form orbit through g_w.
 
     This is the exact rank of the orbit's tangent space at g = g_w, which
@@ -245,7 +223,7 @@ def orbit_dimension(w: Involution, comp: Composition) -> int:
     bijection, so this is also the dimension of p + g h g^{-1}; the orbit
     is open iff the result is 2 n^2.
     """
-    n = w.n
+    n = len(w)
     if comp.n != n:
         raise PreconditionError("composition must sum to n")
     z = representative(w)
@@ -260,16 +238,15 @@ def orbit_dimension(w: Involution, comp: Composition) -> int:
     return real_rank(vectors, n)
 
 
-def _inversions(w: Involution) -> int:
-    p = w.perm
-    return sum(1 for i, x in enumerate(p) for y in p[i + 1 :] if x > y)
+def _inversions(w: Tuple[int, ...]) -> int:
+    return sum(1 for i, x in enumerate(w) for y in w[i + 1 :] if x > y)
 
 
-def class_dimensions(classes: List[List[Involution]]) -> List[int]:
+def class_dimensions(classes: List[List[Tuple[int, ...]]]) -> List[int]:
     """The orbit dimension of each class, 2n^2 - n(n-1)/2 + max l(v) over
     its members v, for l the number of inversions."""
     dims = []
     for cls in classes:
-        n = cls[0].n
+        n = len(cls[0])
         dims.append(2 * n * n - n * (n - 1) // 2 + max(_inversions(v) for v in cls))
     return dims

@@ -1,6 +1,6 @@
 """Shared exception types.  Each carries the CLI exit code for it and the
 label that starts its one stderr line (cli.main); a subclass may override
-the label."""
+the label.  ``shown`` bounds an offending value that such a line echoes."""
 
 from __future__ import annotations
 
@@ -32,3 +32,9 @@ class QuadratureError(RuntimeError):
             message = f"{message} (achieved error estimate {estimate:.3e})"
         super().__init__(message)
         self.estimate = estimate
+
+
+def shown(text: str) -> str:
+    """``text`` (a value's repr, or a flag's text) as an error line echoes it:
+    past 60 characters, its first 60 and its full length."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"

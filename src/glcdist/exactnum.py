@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, shown
 
 RationalLike = Union[int, Fraction, str]
 
@@ -55,7 +55,7 @@ def read_int(value, what: str = "value") -> int:
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return _capped(value, what)
-    raise InputError(f"{what} must be an integer, got {value!r}")
+    raise InputError(f"{what} must be an integer, got {shown(repr(value))}")
 
 
 def read_rational(value, what: str = "value") -> Fraction:
@@ -77,7 +77,7 @@ def read_rational(value, what: str = "value") -> Fraction:
                 raise _too_long(what)
             if q != "0":
                 return Fraction(int(sign + p), int(q))
-    raise InputError(f'{what} must be an integer or a rational "p/q", got {value!r}')
+    raise InputError(f'{what} must be an integer or a rational "p/q", got {shown(repr(value))}')
 
 
 class Frozen:

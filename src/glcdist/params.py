@@ -56,7 +56,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, shown
 from .exactnum import Frozen, GaussianRational, read_int, read_rational
 
 # Cap on the rank of a parameter read from outside the program (its
@@ -78,7 +78,7 @@ def read_json(value, kind: type, what: str):
     """``value`` if it is a JSON object (dict) or array (list), else InputError."""
     if not isinstance(value, kind):
         name = "object" if kind is dict else "array"
-        raise InputError(f"{what} must be a JSON {name}, got {value!r}")
+        raise InputError(f"{what} must be a JSON {name}, got {shown(repr(value))}")
     return value
 
 
@@ -357,7 +357,7 @@ class UnitaryRep(Frozen):
                     )
                 )
             else:
-                raise InputError(f"unknown block kind: {kind!r}")
+                raise InputError(f"unknown block kind: {shown(repr(kind))}")
         check_rank(sum(b.size for b in blocks))
         return cls(blocks)
 
@@ -408,4 +408,4 @@ def parse_parameter_file(obj):
         return LanglandsParameter.parse(obj)
     if kind == "unitary":
         return UnitaryRep.parse(obj)
-    raise InputError(f'unknown parameter type: {kind!r} (expected "langlands" or "unitary")')
+    raise InputError(f'unknown parameter type: {shown(repr(kind))} (expected "langlands" or "unitary")')

@@ -204,6 +204,19 @@ class TestCosets:
         capsys.readouterr()
         assert code == 1
 
+    def test_text_report_with_composition(self, capsys):
+        assert run(capsys, "cosets", "--n", "4", "--comp", "2,2") == (
+            0,
+            "10 involutions on 4 letters, representatives verified: True\n"
+            "3 double-coset classes for composition (2, 2)\n"
+            "  class of (1, 2, 3, 4): 4 involutions, orbit dimension 28\n"
+            "  class of (1, 3, 2, 4): 4 involutions, orbit dimension 31\n"
+            "  class of (3, 4, 1, 2): 2 involutions, orbit dimension 32 (open)\n",
+        )
+
+    def test_text_report_past_the_verification_cap(self, capsys):
+        assert run(capsys, "cosets", "--n", "9") == (0, "2620 involutions on 9 letters, representatives verified: None\n")
+
 
 class TestVerifyKernel:
     def test_single_sample(self, capsys):
@@ -477,6 +490,14 @@ def char_block(n):
     return '{"type":"unitary","blocks":[{"kind":"char","n":%s,"k":1,"u":"0"}]}' % n
 
 
+def case_id(argv) -> str:
+    """A test id read off the request itself, so that no id depends on its
+    position: the argv joined, and past 60 characters its first 60 and a
+    hash of the whole."""
+    text = " ".join(argv)
+    return text if len(text) <= 60 else f"{text[:60]}~{hashlib.sha256(text.encode()).hexdigest()[:8]}"
+
+
 NINES = "9" * 4300  # 10^4300 - 1, the largest integer json.loads reads
 # Past json.loads' and int()'s own 4,300-digit limit, the cap is still what refuses.
 TOO_LONG = [
@@ -541,17 +562,30 @@ BAD_INPUTS = [
     (["cosets"], 1),
     # Exactly one of --input and --inline is read.
     (["classify", "--input", "x", "--inline", langlands()], 1),
+    # An error line echoes at most 60 characters of a long offending value.
+    (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"comp","m":1,"k":0,"u":"0","t":"1/%s"}]}' % ("0" * 5000)], 1),
+    (["eps", "--inline", langlands(m="2"), "--b=0," + "x" * 3000], 1),
+    (["classify", "--inline", '{"type":"langlands","characters":{"%s":100}}' % ("c" * 4000)], 1),
+    (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"%s"}]}' % ("k" * 4000)], 1),
+    (["verify-kernel", "--samples=" + "q" * 4000], 1),
+    (["cosets", "--n", "3", "--comp", ",".join(["1"] * 2000)], 1),
 ]
 
 
-@pytest.mark.parametrize("argv, code", BAD_INPUTS, ids=[" ".join(a)[:60] for a, _ in BAD_INPUTS])
+def test_bad_input_ids_are_unique():
+    # TOO_LONG's requests are among BAD_INPUTS.
+    assert len({case_id(argv) for argv, _ in BAD_INPUTS}) == len(BAD_INPUTS)
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS, ids=[case_id(argv) for argv, _ in BAD_INPUTS])
 def test_bad_input_exit_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
+    assert len(err.encode("utf-8")) <= 300, err[:300]
 
 
-@pytest.mark.parametrize("argv", TOO_LONG, ids=[" ".join(a)[:60] for a in TOO_LONG])
+@pytest.mark.parametrize("argv", TOO_LONG, ids=[case_id(argv) for argv in TOO_LONG])
 def test_too_many_digits_names_the_cap(capsys, argv):
     assert main(argv) == 2
     assert "MAX_INPUT_DIGITS = 4000" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 import random
+import re
 
 import pytest
 
 from glcdist import cosets
 from glcdist.cosets import (
     Composition,
-    Involution,
     class_dimensions,
     enumerate_involutions,
     in_torus_translate,
@@ -47,7 +47,7 @@ def closure_classes(n, parts):
             q[g], q[g + 1] = q[g + 1], q[g]
             yield tuple(q)
 
-    involutions = [w.perm for w in enumerate_involutions(n)]
+    involutions = list(enumerate_involutions(n))
     unassigned = set(involutions)
     classes = []
     for start in involutions:
@@ -81,14 +81,14 @@ class TestEnumeration:
     def test_recurrence(self):
         counts = {}
         for n in range(1, 11):
-            perms = [w.perm for w in enumerate_involutions(n)]
+            perms = list(enumerate_involutions(n))
             assert perms == sorted(set(perms)), n
             counts[n] = len(perms)
         for n in range(3, 11):
             assert counts[n] == counts[n - 1] + (n - 1) * counts[n - 2]
 
     def test_small_sets(self):
-        assert [w.perm for w in enumerate_involutions(3)] == [
+        assert list(enumerate_involutions(3)) == [
             (1, 2, 3),
             (1, 3, 2),
             (2, 1, 3),
@@ -106,21 +106,26 @@ class TestEnumeration:
         with pytest.raises(PreconditionError):
             enumerate_involutions(11)
 
+    # Enumerated involutions are not checked again; a caller's is, where it enters.
     def test_non_involution_rejected(self):
-        with pytest.raises(ValueError):
-            Involution((2, 3, 1))
+        with pytest.raises(ValueError, match=re.escape("not an involution: (2, 3, 1)")):
+            representative((2, 3, 1))
+
+    def test_non_permutation_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("not a permutation of 1..2: (1, 1)")):
+            in_torus_translate(representative((2, 1)), (1, 1))
 
 
 class TestRepresentatives:
     def test_identity(self):
-        assert representative(Involution((1, 2, 3))) == integer_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert representative((1, 2, 3)) == integer_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_transposition_block(self):
-        m = representative(Involution((2, 1)))
+        m = representative((2, 1))
         assert m == ((ONE, I), (I, ONE))
 
     def test_disjoint_product(self):
-        m = representative(Involution((2, 1, 4, 3)))
+        m = representative((2, 1, 4, 3))
         expected = (
             (ONE, I, ZERO, ZERO),
             (I, ONE, ZERO, ZERO),
@@ -132,11 +137,11 @@ class TestRepresentatives:
     def test_twisted_conjugation_lands_in_torus_translate(self):
         # g conj(g)^{-1} = w t means row w(j) of g is t_j conj(row j);
         # sqrt(-1) conj(re + im i) = im + re i.
-        g = representative(Involution((2, 1)))
+        g = representative((2, 1))
         assert g[1] == tuple((im, re) for re, im in g[0])
 
     def test_check_rejects_wrong_matrices(self):
-        w = Involution((2, 1))
+        w = (2, 1)
         assert in_torus_translate(representative(w), w)
         for rows in ([[1, 1], [1, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]]):
             assert not in_torus_translate(integer_rows(rows), w), rows
@@ -144,15 +149,15 @@ class TestRepresentatives:
     def test_check_rejects_singular_complex_matrices(self):
         # Each row is sqrt(-1) times its conjugate, or real, so only the
         # rank of the realification rejects these.
-        identity = Involution((1, 2))
+        identity = (1, 2)
         one_plus_i, two = (1, 1), (2, 0)
         assert not in_torus_translate(((one_plus_i, one_plus_i), (two, two)), identity)
         assert in_torus_translate(((one_plus_i, ZERO), (ZERO, two)), identity)
 
     def test_verification_examples(self):
-        assert verify_representative(Involution((1, 2)))
-        assert verify_representative(Involution((2, 1)))
-        assert verify_representative(Involution((3, 2, 1)))
+        assert verify_representative((1, 2))
+        assert verify_representative((2, 1))
+        assert verify_representative((3, 2, 1))
 
     def test_verification_exhaustive_to_five(self):
         for n in range(1, 6):
@@ -197,7 +202,7 @@ class TestParabolicClasses:
     def test_half_half(self):
         classes = parabolic_classes(Composition((2, 2)))
         assert len(classes) == 3
-        reps = [cls[0].perm for cls in classes]
+        reps = [cls[0] for cls in classes]
         assert reps == [(1, 2, 3, 4), (1, 3, 2, 4), (3, 4, 1, 2)]
 
     def test_half_half_counts(self):
@@ -209,7 +214,7 @@ class TestParabolicClasses:
         for n in range(1, 7):
             for parts in compositions(n):
                 classes = parabolic_classes(Composition(parts))
-                assert [[w.perm for w in cls] for cls in classes] == closure_classes(n, parts), parts
+                assert classes == closure_classes(n, parts), parts
 
     def test_composition_guard(self):
         # n is bounded only by enumerate_involutions.
@@ -223,8 +228,8 @@ class TestParabolicClasses:
 class TestOrbitDimensions:
     def test_borel_rank_two(self):
         comp = Composition((1, 1))
-        assert orbit_dimension(Involution((1, 2)), comp) == 7
-        assert orbit_dimension(Involution((2, 1)), comp) == 8
+        assert orbit_dimension((1, 2), comp) == 7
+        assert orbit_dimension((2, 1), comp) == 8
 
     def test_full_parabolic_always_open(self):
         for w in enumerate_involutions(3):
@@ -234,11 +239,7 @@ class TestOrbitDimensions:
         for n in range(1, 5):
             comp = Composition((1,) * n)
             full = 2 * n * n
-            open_perms = [
-                w.perm
-                for w in enumerate_involutions(n)
-                if orbit_dimension(w, comp) == full
-            ]
+            open_perms = [w for w in enumerate_involutions(n) if orbit_dimension(w, comp) == full]
             assert open_perms == [tuple(range(n, 0, -1))]
 
     def test_middle_parabolic_open_class_is_full_pairing(self):
@@ -246,11 +247,7 @@ class TestOrbitDimensions:
             comp = Composition((half, half))
             classes = parabolic_classes(comp)
             full = 2 * (2 * half) ** 2
-            open_reps = [
-                cls[0].perm
-                for cls in classes
-                if orbit_dimension(cls[0], comp) == full
-            ]
+            open_reps = [cls[0] for cls in classes if orbit_dimension(cls[0], comp) == full]
             pairing = tuple(list(range(half + 1, 2 * half + 1)) + list(range(1, half + 1)))
             assert open_reps == [pairing]
 

@@ -1,9 +1,12 @@
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from glcdist.cosets import Composition, Involution
+import glcdist
+from glcdist.cosets import Composition
 from glcdist.derivatives import MonomialBlock, MonomialRep
 from glcdist.distinction import InvolutionWitness
 from glcdist.errors import InputError, PreconditionError
@@ -14,6 +17,7 @@ from glcdist.selftest import CriterionResult
 from glcdist.exactnum import (
     GQ_I,
     GQ_ONE,
+    Frozen,
     GaussianRational,
     integer_rank,
     read_int,
@@ -95,7 +99,6 @@ VALUE_TYPES = [
         "blocks",
         "MonomialRep([(1, '0', 2), (0, '1/2', 1)])",
     ),
-    (lambda: Involution((2, 1, 3)), "perm", "Involution(2, 1, 3)"),
     (lambda: Composition((2, 2)), "parts", "Composition(parts=(2, 2))"),
     (lambda: AdditiveCharacterSpec(gq(0, 1)), "b", "AdditiveCharacterSpec(b=GaussianRational(0, 1))"),
     (
@@ -123,6 +126,29 @@ def test_value_type_contract(make, field, text):
     interned = isinstance(a, (CharacterCx, CharBlock, CompSeriesBlock))
     assert (a is b) == interned and a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == text
+
+
+def value_types_without_a_row(rows) -> list:
+    """The concrete ``Frozen`` subclasses of the package (``_Keyed``, the base
+    of the interned ones, excepted) that no row of ``rows`` constructs."""
+    for path in Path(glcdist.__file__).parent.glob("*.py"):
+        if path.stem != "__main__":  # which would run the CLI
+            importlib.import_module(f"glcdist.{path.stem}")
+    found, stack = set(), [Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("glcdist.") and cls.__name__ != "_Keyed":
+                found.add(cls)
+    return sorted(cls.__name__ for cls in found - {type(make()) for make, _, _ in rows})
+
+
+def test_detects_a_value_type_without_a_row():
+    assert value_types_without_a_row(VALUE_TYPES[1:]) == ["GaussianRational"]
+
+
+def test_every_value_type_has_a_row():
+    assert value_types_without_a_row(VALUE_TYPES) == []
 
 
 class TestSerialization:
@@ -154,6 +180,7 @@ class TestReaders:
     @pytest.mark.parametrize(
         "value",
         ["1/0", "0/0", "1.5", "1e3", "1/-2", "+", "", "x", "1/2/3", "1/" + "0" * 5000, 0.1, True, None, [1]],
+        ids=lambda value: value if isinstance(value, str) else repr(value),  # by content, not by position
     )
     def test_rational_rejects(self, value):
         with pytest.raises(InputError):
