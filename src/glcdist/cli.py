@@ -16,10 +16,10 @@ text) every report.  A failed request, a flag error included, ends in
 ``main`` with one "label: message" line on stderr and its error type's exit
 code: 1 parse error or an unwritable output (--output, or a closed stdout:
 later writes go to os.devnull), 2 precondition violation (any exact input
-past MAX_INPUT_DIGITS digits too), 3 numeric failure (verify-kernel too,
-after its report, when a row misses KERNEL_MAX_REL_ERR or
-KERNEL_MAX_RATIO_ERR).  selftest exits 1 when a criterion fails or overruns
-its budget.
+past MAX_INPUT_DIGITS digits, or past MAX_KERNEL_SAMPLES samples), 3
+numeric failure (verify-kernel too, after its report, when a row misses
+KERNEL_MAX_REL_ERR or KERNEL_MAX_RATIO_ERR).  selftest exits 1 when a
+criterion fails or overruns its budget.
 
 Each subcommand loads only what it runs: ``selftest`` and ``kernelnum`` (and
 with selftest ``equivalence_scan``) are imported inside cmd_selftest and
@@ -69,6 +69,9 @@ from .ktypes import (
 from .params import UnitaryRep, parse_parameter_file, to_langlands
 
 EXIT_OK = 0
+# Cap on verify-kernel's --samples, checked before any row: 64 samples of
+# -0.3+100j took 1.8 s, 1,000 took 18.6 s (shared 2-CPU container, CPython 3.11.7).
+MAX_KERNEL_SAMPLES = 64
 
 _INF = float("inf")
 
@@ -94,8 +97,8 @@ def _parse_input(args, parse, what: str):
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # only an OSError's text repeats the path
+            raise InputError(f"cannot read {shown(args.input)}: {getattr(exc, 'strerror', exc)}") from exc
         source = args.input
     else:
         raise InputError("one of --input PATH or --inline JSON is required")
@@ -189,7 +192,7 @@ def _emit(args, subcommand: str, inputs: dict, results: dict, criteria: list, te
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         except OSError as exc:
-            raise InputError(f"cannot write {output}: {exc}") from exc
+            raise InputError(f"cannot write {shown(output)}: {exc.strerror}") from exc
     print(payload if args.json else "\n".join(text_lines), flush=True)
     return EXIT_OK
 
@@ -370,6 +373,8 @@ def _parse_samples(spec: str):
             raise InputError(f"bad sample {shown(repr(piece))}: {exc}") from exc
     if not out:
         raise InputError("--samples needs at least one complex number")
+    if len(out) > MAX_KERNEL_SAMPLES:
+        raise PreconditionError(f"--samples gives {len(out)} samples, more than MAX_KERNEL_SAMPLES = {MAX_KERNEL_SAMPLES}")
     return out
 
 

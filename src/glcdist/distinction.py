@@ -1,23 +1,23 @@
 """Decision procedures for real-distinction of parameter data.
 
-Two formulations are implemented and must agree:
+Two formulations must agree.  Both read a value only through ``partner()``
+(kappa_{m,-s} for kappa_{m,s}, the u -> -u block for a block, the value
+itself when ``self_paired``: s = 0, or u = 0), ``needs_even`` and ``size``.
 
 *   On a parameter (multiset of characters kappa_{m,s}):
     condition (i): there is an involution w pairing each character with its
-    conjugate-inverse partner kappa_{m,-s}, every fixed point taking the
-    value 1 at -1 (m even, s = 0).  Equivalently, by counting: for every
-    (m, s) with s != 0 the multiplicities of kappa_{m,s} and kappa_{m,-s}
-    agree, and every kappa_{m,0} with m odd has even multiplicity.
-    condition (ii): every kappa_{m,s} with m odd, s real and 2s an integer
-    has even multiplicity.
+    partner, every fixed point taking the value 1 at -1 (m even, s = 0).
+    Equivalently, by counting: each character not self-paired has its
+    partner's multiplicity, and each self-paired one with ``needs_even``
+    (m odd) has even multiplicity.
+    condition (ii): every character with ``needs_even`` (m odd, s real and
+    2s an integer) has even multiplicity.
     A unitary representation is distinguished iff (i) and (ii); a generic
     one iff (i) alone.
 
-*   On a unitary block multiset:
-    (ia) character blocks with u != 0 pair in equal multiplicity with the
-    u -> -u block of identical (n, k); (ib) likewise for complementary
-    series blocks of identical (m, k, t); (ii) character blocks with u = 0
-    and odd k have even multiplicity.
+*   On a unitary block multiset: (i) each block not self-paired has its
+    partner's multiplicity; (ii) each block with ``needs_even`` (a character
+    block with u = 0 and odd k) has even multiplicity.
 
 Genericity and unitarity of the input are caller-asserted; no
 irreducibility test is performed here.
@@ -40,8 +40,8 @@ class InvolutionWitness(NamedTuple):
     """An involution on 1-based positions of the normal-form character list.
 
     ``pairs`` are the two-cycles (i, j) with i < j; ``fixed`` the fixed
-    points.  Together they partition {1..n}; each pair joins kappa_{m,s}
-    with kappa_{m,-s}, and each fixed index carries s = 0 and even m.
+    points.  Together they partition {1..n}; each pair joins a character
+    with its partner, and each fixed index carries s = 0 and even m.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -78,18 +78,18 @@ def check_condition_i(
 
     Decided by counting, as in the module docstring; only a parameter that
     passes gets position lists.  Indices of each character value are
-    paired, in normal-form order, with indices of the conjugate-inverse
-    value; kappa_{m,0} with m odd pair among themselves, and kappa_{m,0}
-    with m even stay fixed.
+    paired, in normal-form order, with indices of its partner; self-paired
+    characters with ``needs_even`` pair among themselves, and the other
+    self-paired ones stay fixed.
     """
     counts: dict = {}
     for c in p.chars:
         counts[c] = counts.get(c, 0) + 1
     for c, count in counts.items():
-        if c.s_is_zero:
-            if c.m % 2 and count % 2:
+        if c.self_paired:
+            if c.needs_even and count % 2:
                 return False, None
-        elif counts.get(c.conj_inverse()) != count:
+        elif counts.get(c.partner()) != count:
             return False, None
 
     positions: dict = {}
@@ -98,13 +98,13 @@ def check_condition_i(
     pairs = []
     fixed = []
     for c, idxs in positions.items():
-        if not c.s_is_zero:
-            mates = positions[c.conj_inverse()]
+        if not c.self_paired:
+            mates = positions[c.partner()]
             # Equal characters are adjacent in normal form, so the two runs
             # do not interleave: pair them once, from the earlier run.
             if idxs[0] < mates[0]:
                 pairs.extend(zip(idxs, mates))
-        elif c.m % 2:
+        elif c.needs_even:
             pairs.extend(zip(idxs[::2], idxs[1::2]))
         else:
             fixed.extend(idxs)
@@ -115,10 +115,10 @@ def check_condition_i(
 def check_condition_ii(
     p: LanglandsParameter,
 ) -> Tuple[bool, Tuple[CharacterCx, ...]]:
-    """Even multiplicity for every kappa_{m,s} with m odd and 2s in Z."""
+    """Even multiplicity for every character with ``needs_even``."""
     counts: dict = {}
     for c in p.chars:
-        if c.half_integral_odd:
+        if c.needs_even:
             counts[c] = counts.get(c, 0) + 1
     # The counts are in the order of p.chars, which is the normal form.
     failing = tuple([c for c, count in counts.items() if count % 2])
@@ -148,10 +148,10 @@ def is_distinguished_unitary(p: LanglandsParameter) -> DistinctionVerdict:
 def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     """Blockwise formulation on a unitary block multiset.
 
-    condition_i here is (ia) and (ib); condition_ii the even-multiplicity
-    clause for the blocks whose ``needs_even`` flag is set (character blocks
-    with u = 0 and odd k).  ``failing_characters`` expands each block
-    violating (ii) into its constituent characters (one copy each).
+    condition_i here is the partner clause; condition_ii the even clause
+    for the blocks with ``needs_even`` (character blocks with u = 0 and odd
+    k).  ``failing_characters`` expands each block violating (ii) into its
+    constituent characters (one copy each).
     """
     counts: dict = {}
     for b in rep.blocks:
@@ -159,8 +159,8 @@ def is_distinguished_blocks(rep: UnitaryRep) -> DistinctionVerdict:
     cond_i = True
     failing: list = []
     for b, c in counts.items():
-        if not b.u_is_zero:
-            if cond_i and counts.get(b.mirror()) != c:
+        if not b.self_paired:
+            if cond_i and counts.get(b.partner()) != c:
                 cond_i = False
         elif c % 2 and b.needs_even:
             failing.extend(block_characters(b))

@@ -4,10 +4,11 @@ The grid of unitary representations with total size at most 8, block twist
 k in [-2, 2], u in {0, +-i} and complementary parameter t in {1/4, 1/2}
 contains about 10.9 million block multisets, too many to push through the
 full object API, or even to visit one by one, inside the acceptance budget.
-Both formulations are conjunctions of clauses on the counts of single
-characters and single blocks, so the scan factors the grid instead.  A
-union-find joins each block to its mirror u -> -u and its characters, and
-each character to its conjugate-inverse, which splits the blocks into
+Both formulations are conjunctions of clauses of one shape on the counts
+of single characters and single blocks: a value's count equals its
+``partner()``'s, and a value with ``needs_even`` has an even count.  So
+the scan factors the grid instead.  A union-find joins each block to its
+characters and each value to its partner, which splits the blocks into
 independent components.  Each component reads its clauses off the objects,
 checking in the same pass that none reaches outside it; its sub-multisets
 are enumerated once and tallied by (parameter verdict, block verdict,
@@ -51,8 +52,8 @@ def acceptance_block_grid() -> List:
 
 def _components(blocks: Sequence) -> List[List]:
     """Split the blocks into classes that no clause of either formulation
-    crosses: a union-find joining each block to its mirror and its
-    characters, and each character to its conjugate-inverse."""
+    crosses: a union-find joining each block to its characters, and each
+    block and character to its partner."""
     parent: dict = {}
 
     def find(x):
@@ -65,21 +66,25 @@ def _components(blocks: Sequence) -> List[List]:
         parent[find(x)] = find(y)
 
     for b in blocks:
-        union(b, b.mirror())
+        union(b, b.partner())
         for c in block_characters(b):
             union(b, c)
-            union(c, c.conj_inverse())
+            union(c, c.partner())
     groups: dict = {}
     for b in blocks:
         groups.setdefault(find(b), []).append(b)
     return list(groups.values())
 
 
-def _position(index: dict, x, relation: str, of) -> int:
-    """The position of ``x``, the ``relation`` of ``of``, in its component."""
-    if x not in index:
-        raise RuntimeError(f"{x}, the {relation} of {of}, lies outside its component")
-    return index[x]
+def _clauses(index: dict) -> Tuple[list, list]:
+    """The clauses on the counts of the characters or blocks in ``index``
+    (value -> position): the pairs i < j of a value and its partner, whose
+    counts agree, and the values with ``needs_even``, whose counts are even."""
+    for x in index:
+        if x.partner() not in index:
+            raise RuntimeError(f"{x.partner()}, the partner of {x}, lies outside its component")
+    pairs = [(i, index[x.partner()]) for x, i in index.items() if i < index[x.partner()]]
+    return pairs, [i for x, i in index.items() if x.needs_even]
 
 
 def _component_tallies(members: Sequence, budget: int, seen: set):
@@ -89,9 +94,9 @@ def _component_tallies(members: Sequence, budget: int, seen: set):
     of size n with verdict pair ``state`` (bit 1 the parameter verdict, bit
     0 the block verdict), the empty one included; ``first`` lists the blocks
     of the first sub-multiset whose verdicts disagree, or is None.  Raises
-    RuntimeError if a clause reaches outside the component: a mirror or a
-    conjugate-inverse not in it, or a character in ``seen``, the characters
-    of the components scanned before (this one's are added).
+    RuntimeError if a clause reaches outside the component: a partner not
+    in it, or a character in ``seen``, the characters of the components
+    scanned before (this one's are added).
     """
     index = {b: i for i, b in enumerate(members)}
     chars: dict = {}
@@ -102,14 +107,8 @@ def _component_tallies(members: Sequence, budget: int, seen: set):
         if c in seen:
             raise RuntimeError(f"character {c} is shared by two components")
     seen.update(chars)
-    # The clauses: equal counts on each pair, an even count on each member
-    # (an odd character that is its own partner, s = 0, is half-integral odd).
-    partner = [_position(chars, c.conj_inverse(), "conjugate-inverse", c) for c in chars]
-    char_pairs = [(c, q) for c, q in enumerate(partner) if c < q]
-    char_even = [j for j, c in enumerate(chars) if c.half_integral_odd]
-    mirror = [_position(index, b.mirror(), "mirror", b) for b in members]
-    block_pairs = [(b, p) for b, p in enumerate(mirror) if b < p]
-    block_even = [i for i, b in enumerate(members) if b.needs_even]
+    char_pairs, char_even = _clauses(chars)
+    block_pairs, block_even = _clauses(index)
     size = [b.size for b in members]
     cnt_block = [0] * len(members)
     cnt_char = [0] * len(chars)

@@ -35,6 +35,6 @@ class QuadratureError(RuntimeError):
 
 
 def shown(text: str) -> str:
-    """``text`` (a value's repr, or a flag's text) as an error line echoes it:
+    """``text`` (a value's repr, a flag's text or a path) as an error line echoes it:
     past 60 characters, its first 60 and its full length."""
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"

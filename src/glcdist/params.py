@@ -28,14 +28,15 @@ slot) and hash-consed: there is one object per ``key`` (building a value
 whose object is alive returns that object), so equality and hash are by
 identity, in C.  One recipe, ``_Keyed``, builds all three: a ``__new__``
 checks its arguments and looks its key up first, and only on a miss
-computes the derived values that ``_Keyed._enter`` stores: the flag
-``s_is_zero`` or ``u_is_zero``, a block's ``size`` (n, or 2m), and the (ii)
-flag, ``half_integral_odd`` for a character (m odd, s real, 2s an integer)
-and ``needs_even`` for a block (a character block with u = 0 and odd k).
-The partner, a character's ``conj_inverse()`` or a block's u -> -u
-``mirror()``, is built on first use and kept in the one ``_partner`` slot.
-``distinction`` and ``equivalence_scan`` read these slots, so no other
-module tests which kind a block is.
+computes the derived values that ``_Keyed._enter`` stores: ``self_paired``
+(s = 0, or u = 0), a block's ``size`` (n, or 2m), and the (ii) flag
+``needs_even`` (for a character m odd, s real and 2s an integer; for a
+block a character block with u = 0 and odd k).  Both formulations pair by
+one relation, ``partner()``: kappa_{m,-s} for a character, the u -> -u
+block for a block, the value itself when ``self_paired``.  It is built on
+first use and held weakly, so no value sits in a reference cycle.
+``distinction`` and ``equivalence_scan`` read a value only through these,
+so no other module tests which kind a block is or reads its fields.
 
 The ``key`` is a flat tuple that orders exactly as (m, -Re s, -Im s) for a
 character and (kind, n or m, k, Im u, t) for a block, kind 0 for a
@@ -115,7 +116,7 @@ class _Keyed(Frozen):
     the live object; a miss calls ``_enter``, which fills the slots of a new
     one and enters it.  The table keeps no object alive: an entry goes when
     the last outside reference to its object does.  Every slot is set here,
-    the lazy ``_partner`` by ``_keep_partner``.
+    the lazy ``_partner``, a weak reference, by ``partner``.
     """
 
     __slots__ = ("__weakref__", "key", "_partner")
@@ -134,9 +135,18 @@ class _Keyed(Frozen):
         cls._table[key] = self
         return self
 
-    def _keep_partner(self, partner):
-        """``partner``, kept in the ``_partner`` slot for the next call."""
-        object.__setattr__(self, "_partner", partner)
+    def partner(self):
+        """The value this one pairs with: itself when ``self_paired``, else
+        ``_flipped()``, built on first use.  The two hold each other weakly,
+        so neither keeps the other alive and no cycle forms."""
+        try:
+            partner = self._partner()
+        except AttributeError:  # not asked for yet
+            partner = None
+        if partner is None:
+            partner = self if self.self_paired else self._flipped()
+            object.__setattr__(self, "_partner", weakref.ref(partner))
+            object.__setattr__(partner, "_partner", weakref.ref(self))
         return partner
 
 
@@ -147,7 +157,7 @@ sort_key = attrgetter("key")
 class CharacterCx(_Keyed):
     """The character kappa_{m,s} of C^x."""
 
-    __slots__ = ("m", "s", "s_is_zero", "half_integral_odd")
+    __slots__ = ("m", "s", "self_paired", "needs_even")
     _fields = ("m", "s")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
@@ -167,17 +177,10 @@ class CharacterCx(_Keyed):
         odd = m % 2 == 1 and not s.im.numerator and s.re.denominator <= 2
         return cls._enter(key, m, s, s.is_zero(), odd)
 
-    def conj_inverse(self) -> "CharacterCx":
-        """The inverse of the conjugate character: kappa_{m,-s}, built on
-        first use and kept.
-
-        Precomposing with conjugation sends kappa_{m,s} to kappa_{-m,s},
-        and inverting that gives kappa_{m,-s}.
-        """
-        try:
-            return self._partner
-        except AttributeError:
-            return self._keep_partner(self if self.s_is_zero else CharacterCx(self.m, -self.s))
+    def _flipped(self) -> "CharacterCx":
+        """kappa_{m,-s}: conjugation sends kappa_{m,s} to kappa_{-m,s}, and
+        inversion sends that to kappa_{m,-s}."""
+        return CharacterCx(self.m, -self.s)
 
     def to_json(self) -> dict:
         return {"m": self.m, "s": self.s.to_json()}
@@ -229,7 +232,7 @@ class LanglandsParameter(Frozen):
 class CharBlock(_Keyed):
     """Unitary character block (det/|det|)^k |det|^u on size n, u imaginary."""
 
-    __slots__ = ("n", "k", "u", "u_is_zero", "size", "needs_even")
+    __slots__ = ("n", "k", "u", "self_paired", "size", "needs_even")
     _fields = ("n", "k", "u")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     n: int
@@ -246,15 +249,11 @@ class CharBlock(_Keyed):
         self = cls._table.get(key)
         if self is not None:
             return self
-        u_is_zero = u.is_zero()
-        return cls._enter(key, n, k, u, u_is_zero, n, u_is_zero and k % 2 == 1)
+        self_paired = u.is_zero()
+        return cls._enter(key, n, k, u, self_paired, n, self_paired and k % 2 == 1)
 
-    def mirror(self) -> "CharBlock":
-        """The u -> -u block, built on first use and kept."""
-        try:
-            return self._partner
-        except AttributeError:
-            return self._keep_partner(self if self.u_is_zero else CharBlock(self.n, self.k, -self.u))
+    def _flipped(self) -> "CharBlock":
+        return CharBlock(self.n, self.k, -self.u)
 
     def to_json(self) -> dict:
         return {"kind": "char", "n": self.n, "k": self.k, "u": self.u.to_json()}
@@ -263,7 +262,7 @@ class CharBlock(_Keyed):
 class CompSeriesBlock(_Keyed):
     """Complementary series block on size 2m: twists (k, u), inner +-t, 0<t<1."""
 
-    __slots__ = ("m", "k", "u", "t", "u_is_zero", "size", "needs_even")
+    __slots__ = ("m", "k", "u", "t", "self_paired", "size", "needs_even")
     _fields = ("m", "k", "u", "t")
     _table = weakref.WeakValueDictionary()  # keeps no object alive
     m: int
@@ -291,12 +290,8 @@ class CompSeriesBlock(_Keyed):
             return self
         return cls._enter(key, m, k, u, t, u.is_zero(), 2 * m, False)
 
-    def mirror(self) -> "CompSeriesBlock":
-        """The u -> -u block, built on first use and kept."""
-        try:
-            return self._partner
-        except AttributeError:
-            return self._keep_partner(self if self.u_is_zero else CompSeriesBlock(self.m, self.k, -self.u, self.t))
+    def _flipped(self) -> "CompSeriesBlock":
+        return CompSeriesBlock(self.m, self.k, -self.u, self.t)
 
     def to_json(self) -> dict:
         return {

@@ -281,6 +281,12 @@ class TestVerifyKernel:
         capsys.readouterr()
         assert code == 2
 
+    def test_samples_up_to_the_cap(self, capsys):
+        # 64 samples run; one more is refused before any row is computed.
+        assert main(["verify-kernel", "--samples", ",".join(["0"] * 64)]) == 0
+        assert main(["verify-kernel", "--samples", ",".join(["0"] * 65)]) == 2
+        assert "MAX_KERNEL_SAMPLES = 64" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, capsys):
         # Inside case 1's strip, 3.3e-13 from its edge at Re s = -1/3: the
         # radial quadrature cannot resolve it within the subdivision limit.
@@ -507,6 +513,8 @@ TOO_LONG = [
     ["eps", "--inline", langlands(m="2"), "--b=0,1/" + "9" * 5000],
 ]
 
+LONG_PATH = "/nonexistent/" + "d" * 2999  # 3,012 characters
+
 BAD_INPUTS = [
     (["classify", "--inline", langlands(m="1.5")], 1),
     (["classify", "--inline", langlands(m="true")], 1),
@@ -569,6 +577,11 @@ BAD_INPUTS = [
     (["classify", "--inline", '{"type":"unitary","blocks":[{"kind":"%s"}]}' % ("k" * 4000)], 1),
     (["verify-kernel", "--samples=" + "q" * 4000], 1),
     (["cosets", "--n", "3", "--comp", ",".join(["1"] * 2000)], 1),
+    # An I/O error line echoes at most 60 characters of the path, and once.
+    (["classify", "--input", LONG_PATH], 1),
+    (["classify", "--output", LONG_PATH, "--inline", langlands()], 1),
+    # verify-kernel runs at most MAX_KERNEL_SAMPLES = 64 samples.
+    (["verify-kernel", "--samples", ",".join(["0"] * 65)], 2),
 ]
 
 

@@ -111,16 +111,16 @@ class TestIndependence:
         ) == blocks
         owner = {}
         for label, members in enumerate(components):
-            assert {b.mirror() for b in members} == set(members)
+            assert {b.partner() for b in members} == set(members)
             chars = {c for b in members for c in block_characters(b)}
-            assert {c.conj_inverse() for c in chars} == chars
+            assert {c.partner() for c in chars} == chars
             for c in chars:
                 assert owner.setdefault(c, label) == label
 
     @pytest.mark.parametrize(
         "block, message",
         [
-            (CharBlock(1, 0, GaussianRational(0, 1)), "the mirror of .* lies outside"),
+            (CharBlock(1, 0, GaussianRational(0, 1)), "the partner of .* lies outside"),
             (CharBlock(1, 0, GaussianRational(0)), "shared by two components"),
         ],
         ids=["mirror-outside", "shared-character"],
@@ -142,5 +142,5 @@ class TestIndependence:
         # conjugate-inverses in its mirror alone, so that clause fails first.
         missing = CharBlock(8, 0, GaussianRational(0, -1))
         blocks = [b for b in acceptance_block_grid() if b != missing]
-        with pytest.raises(RuntimeError, match=r"the conjugate-inverse of .* lies outside"):
+        with pytest.raises(RuntimeError, match=r"the partner of .* lies outside"):
             scan_blocks(blocks, 4)

@@ -221,6 +221,34 @@ def test_only_params_tests_a_block_kind():
     assert sorted(name for name, lines in found.items() if lines) == ["params.py"]
 
 
+# A value's kind and fields, which only ``params`` reads: the readers pair
+# and count values through ``partner()``, ``self_paired``, ``needs_even``
+# and ``size``, and the old names of that relation stay gone.
+VALUE_FIELDS = ("conj_inverse", "mirror", "s_is_zero", "u_is_zero", "half_integral_odd", "m", "s", "n", "k", "u", "t")
+
+
+def value_field_reads(source: str) -> list:
+    """``name (line N)``, in line order, for every attribute in VALUE_FIELDS
+    that ``source`` reads, as ``x.name`` or ``x.name()``."""
+    found = sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in VALUE_FIELDS
+    )
+    return [f"{attr} (line {line})" for line, attr in found]
+
+
+def test_detects_a_value_field_read():
+    source = "if c.m % 2:\n    b.mirror()\np.n, x.size, x.partner(), m, s.needs_even\nc.s.re\n"
+    assert value_field_reads(source) == ["m (line 1)", "mirror (line 2)", "n (line 3)", "s (line 4)"]
+
+
+@pytest.mark.parametrize("name", ["distinction.py", "equivalence_scan.py"])
+def test_readers_see_no_value_fields(name):
+    source = (Path(glcdist.__file__).parent / name).read_text(encoding="utf-8")
+    assert value_field_reads(source) == []
+
+
 EQUALITY = ("__eq__", "__hash__")
 
 

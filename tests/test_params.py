@@ -115,11 +115,11 @@ def check_character_cache(c: CharacterCx) -> None:
     assert hash(c.s) == hash(fresh(c.s)) == hash((c.s.re, c.s.im))
     assert all(isinstance(e, int) or abs(e) == math.inf for e in c.key)
     assert c != CharacterCx(c.m + 1, c.s) and c != CharacterCx(c.m, c.s + GaussianRational(0, 1))
-    assert c.s_is_zero == (c.s == GaussianRational(0))
-    assert c.half_integral_odd == (c.m % 2 == 1 and (c.s + c.s).is_integer())
-    assert c.conj_inverse() == CharacterCx(c.m, -c.s)
-    assert c.conj_inverse() is c.conj_inverse()
-    assert c.conj_inverse().conj_inverse() == c
+    assert c.self_paired == (c.s == GaussianRational(0))
+    assert c.needs_even == (c.m % 2 == 1 and (c.s + c.s).is_integer())
+    assert c.partner() == CharacterCx(c.m, -c.s)
+    assert c.partner() is c.partner()
+    assert c.partner().partner() == c
 
 
 def check_block_cache(b) -> None:
@@ -133,12 +133,12 @@ def check_block_cache(b) -> None:
     assert again is b and again == b and hash(again) == hash(b) and again.key == b.key
     assert hash(b.u) == hash(fresh(b.u)) == hash((b.u.re, b.u.im))
     assert all(isinstance(e, int) or abs(e) == math.inf for e in b.key)
-    assert b.u_is_zero == (b.u == GaussianRational(0))
+    assert b.self_paired == (b.u == GaussianRational(0))
     assert b.size == (b.n if isinstance(b, CharBlock) else 2 * b.m)
-    assert b.needs_even == (isinstance(b, CharBlock) and b.u_is_zero and b.k % 2 == 1)
-    assert b.mirror() == mirror and hash(b.mirror()) == hash(mirror)
-    assert b.mirror() is b.mirror()
-    assert b.mirror().mirror() == b
+    assert b.needs_even == (isinstance(b, CharBlock) and b.self_paired and b.k % 2 == 1)
+    assert b.partner() == mirror and hash(b.partner()) == hash(mirror)
+    assert b.partner() is b.partner()
+    assert b.partner().partner() == b
 
 
 class TestCachedValues:
@@ -192,33 +192,50 @@ class TestCachedValues:
         check_same_order(blocks)
 
 
+def tie_values() -> tuple:
+    """The grid's characters and blocks, and values whose rationals' floats
+    tie or that have 70-bit terms."""
+    chars = GRID_CHARACTERS + [CharacterCx(m, GaussianRational(re, im)) for m in (-1, 0) for re in TIES for im in TIES]
+    blocks = GRID_BLOCKS + [CharBlock(2, -1, GaussianRational(0, x)) for x in TIES]
+    blocks += [CompSeriesBlock(1, 1, GaussianRational(0, x), t) for x in TIES for t in INNER_T]
+    return chars, blocks
+
+
 class TestInterning:
     def test_one_object_per_value(self):
-        # The grid, and rationals whose floats tie or that have 70-bit terms.
-        chars = GRID_CHARACTERS + [CharacterCx(m, GaussianRational(re, im)) for m in (-1, 0) for re in TIES for im in TIES]
-        blocks = GRID_BLOCKS + [CharBlock(2, -1, GaussianRational(0, x)) for x in TIES]
-        blocks += [CompSeriesBlock(1, 1, GaussianRational(0, x), t) for x in TIES for t in INNER_T]
+        chars, blocks = tie_values()
         for c in chars:
             assert CharacterCx(c.m, fresh(c.s)) is c
-            assert c.conj_inverse() is CharacterCx(c.m, -c.s)
-            assert c.conj_inverse().conj_inverse() is c
+            assert c.partner() is CharacterCx(c.m, -c.s)
+            assert c.partner().partner() is c
         for b in blocks:
             if isinstance(b, CharBlock):
-                assert b.mirror() is CharBlock(b.n, b.k, -b.u)
+                assert b.partner() is CharBlock(b.n, b.k, -b.u)
             else:
-                assert b.mirror() is CompSeriesBlock(b.m, b.k, -b.u, b.t)
-            assert b.mirror().mirror() is b
+                assert b.partner() is CompSeriesBlock(b.m, b.k, -b.u, b.t)
+            assert b.partner().partner() is b
+
+    def test_partner_is_itself_exactly_when_self_paired(self):
+        chars, blocks = tie_values()
+        assert any(v.self_paired for v in chars) and any(v.self_paired for v in blocks)
+        for v in chars + blocks:
+            assert (v.partner() is v) == v.self_paired
+            assert v.partner().partner() is v
 
     def test_tables_keep_nothing_alive(self):
-        # 1,000 values of each class that no other test builds, each in a
-        # reference cycle with its partner or mirror; once they are dropped,
-        # the tables are as before.
+        # 1,000 values of each class that no other test builds.  A partner
+        # is held weakly, so it goes as soon as its use does, and no value
+        # sits in a reference cycle: once the values are dropped, the tables
+        # are as before without the cyclic collector.
         tables = (CharacterCx._table, CharBlock._table, CompSeriesBlock._table)
         gc.collect()
-        before = [len(t) for t in tables]
-        assert [n - m for n, m in zip(self.build_and_count(tables), before)] == [2000, 2000, 2000]
-        gc.collect()
-        assert [len(t) for t in tables] == before
+        gc.disable()
+        try:
+            before = [len(t) for t in tables]
+            assert [n - m for n, m in zip(self.build_and_count(tables), before)] == [1000, 1000, 1000]
+            assert [len(t) for t in tables] == before
+        finally:
+            gc.enable()
 
     @staticmethod
     def build_and_count(tables) -> list:
@@ -231,20 +248,19 @@ class TestInterning:
             values.append(CharBlock(1 + i % 3, i % 5, GaussianRational(0, x)))
             values.append(CompSeriesBlock(1, i % 5, GaussianRational(0, x), Fraction(1, 3)))
         for v in values:
-            flip = CharacterCx.conj_inverse if isinstance(v, CharacterCx) else type(v).mirror
-            assert flip(v) is not v and flip(flip(v)) is v
+            assert v.partner() is not v and v.partner().partner() is v
         return [len(t) for t in tables]
 
 
 class TestCharacterOps:
     def test_conj_inverse_examples(self):
-        assert kappa(1, "1/2").conj_inverse() == kappa(1, "-1/2")
-        assert kappa(0, 0).conj_inverse() == kappa(0, 0)
-        assert kappa(-2, 0, "3/4").conj_inverse() == kappa(-2, 0, "-3/4")
+        assert kappa(1, "1/2").partner() == kappa(1, "-1/2")
+        assert kappa(0, 0).partner() == kappa(0, 0)
+        assert kappa(-2, 0, "3/4").partner() == kappa(-2, 0, "-3/4")
 
     @given(characters)
     def test_conj_inverse_is_involution(self, c):
-        assert c.conj_inverse().conj_inverse() == c
+        assert c.partner().partner() == c
 
 
 class TestParameter:
